@@ -13,15 +13,15 @@ from .evaluation import SweepResult, bench_exits, per_class_exits, sweep
 from .frontend import FrontendConfig, MelFeature, featurize
 from .modelio import load_model, save_model
 from .runtime import DecisionRule, ExitRecord, entropy, infer_early_exit, infer_fixed_exit
-from .training import BopState, TrainConfig, cross_entropy, joint_loss, train_loop
+from .training import BopState, TrainConfig, train_loop
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchSpec", "BopState", "Dataset", "DecisionRule", "ExitRecord", "ExitStack",
     "FrontendConfig", "MelFeature", "Model", "SweepResult", "TrainConfig",
-    "bench_exits", "build", "cross_entropy", "entropy", "featurize",
-    "infer_early_exit", "infer_fixed_exit", "joint_loss", "load_model",
+    "bench_exits", "build", "entropy", "featurize",
+    "infer_early_exit", "infer_fixed_exit", "load_model",
     "per_class_exits", "save_model", "sweep", "synth_dataset", "train_loop",
     "arch", "bitops", "config", "data", "evaluation", "frontend", "layers",
     "modelio", "runtime", "training",

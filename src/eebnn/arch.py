@@ -16,7 +16,9 @@ Every model supports two forward routes. The training route works on float
 batches with cached intermediates for backprop. The inference route works on
 one sample at a time with bit-packed kernels; both routes produce identical
 numbers in eval mode because every binary dot product is an exact small
-integer.
+integer. Inference is one lazy trunk runner (`Model.exit_activations`) that
+yields the activation at each exit placement in order; a consumer that stops
+asking stops the trunk there.
 
 Compute is tracked in MACs (multiply-accumulates): convolutions and the exit
 dense layers are counted, element-wise ops and pooling are not. Each exit's
@@ -37,8 +39,6 @@ from . import bitops, layers
 N_EXITS = 5
 
 FAMILIES = ("quicknet", "birealnet", "binarydensenet", "meliusnet")
-
-_model_tokens = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,6 @@ class ExitStack:
     def __post_init__(self):
         if len(self.probs) != len(self.costs):
             raise ValueError("probs and costs length mismatch")
-
-
-@dataclass
-class HiddenState:
-    """Resumable cursor for incremental prefix execution."""
-
-    token: int
-    next_block: int  # 1-based index of the next block to execute
-    activation: np.ndarray
-    consumed_macs: int
-    exit_reached: int
 
 
 # --- blocks -------------------------------------------------------------------
@@ -322,7 +311,6 @@ class Model:
     def __init__(self, spec: ArchSpec, seed: int):
         self.spec = spec
         self.seed = int(seed)
-        self.token = next(_model_tokens)
         rng = np.random.default_rng(seed)
 
         t, f, _ = spec.input_shape
@@ -433,47 +421,33 @@ class Model:
 
     # --- inference route (bit kernels, one sample) ---
 
-    def forward_all_exits(self, feature) -> ExitStack:
+    def exit_activations(self, feature):
+        """Yield the trunk activation at each exit placement, exit 1 first.
+
+        Runs the stem and then the blocks lazily: blocks past the last
+        activation asked for never run.
+        """
         x = self.stem_bn.infer(self.stem.infer(self._input_array(feature)))
-        probs = []
-        exit_i = 0
         for b, blk in enumerate(self.blocks, start=1):
             if b in self.pool_before:
                 x = layers.avgpool2(x)
             x = blk.infer(x)
-            while exit_i < N_EXITS and self.placements[exit_i] == b:
-                probs.append(self.exits[exit_i].infer(x))
-                exit_i += 1
-        return ExitStack(tuple(probs), self.exit_costs, self.total_macs)
+            if b in self.placements:
+                yield x
 
-    def forward_prefix(self, feature, upto_exit: int, state: HiddenState | None = None):
-        """Run only as far as the given exit; resumable via the returned state."""
+    def forward_all_exits(self, feature) -> ExitStack:
+        probs = tuple(head.infer(x) for head, x in zip(self.exits, self.exit_activations(feature)))
+        return ExitStack(probs, self.exit_costs, self.total_macs)
+
+    def forward_prefix(self, feature, upto_exit: int) -> np.ndarray:
+        """Distribution of one exit on its own, at cost exit_costs[upto_exit - 1].
+
+        Runs the trunk up to that exit's placement and only that exit's head.
+        """
         if not 1 <= upto_exit <= N_EXITS:
             raise ValueError(f"exit index {upto_exit} out of range 1..{N_EXITS}")
-        if state is None:
-            x = self.stem_bn.infer(self.stem.infer(self._input_array(feature)))
-            start = 1
-            consumed = self.stem_macs
-        else:
-            if state.token != self.token:
-                raise ValueError("hidden state belongs to a different model")
-            if state.exit_reached >= upto_exit:
-                raise ValueError(
-                    f"cannot resume to exit {upto_exit} from a state already at exit {state.exit_reached}"
-                )
-            x = state.activation
-            start = state.next_block
-            consumed = state.consumed_macs
-        stop = self.placements[upto_exit - 1]
-        for b in range(start, stop + 1):
-            if b in self.pool_before:
-                x = layers.avgpool2(x)
-            x = self.blocks[b - 1].infer(x)
-            consumed += self.block_macs[b - 1]
-        head = self.exits[upto_exit - 1]
-        dist = head.infer(x)
-        consumed += head.macs
-        return dist, HiddenState(self.token, stop + 1, x, consumed, upto_exit)
+        x = next(itertools.islice(self.exit_activations(feature), upto_exit - 1, None))
+        return self.exits[upto_exit - 1].infer(x)
 
     # --- training route (float batches) ---
 

@@ -283,11 +283,6 @@ def dense_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array([np.sum(x * w[u]) for u in range(w.shape[0])])
 
 
-def packed_nbytes(n_elements_last_axis: int, n_rows: int) -> int:
-    """Bytes used to store n_rows packed rows of the given innermost length."""
-    return n_rows * _word_count(n_elements_last_axis) * 8
-
-
 def parameter_bits(shape: tuple[int, ...]) -> int:
     """Stored bits for a packed tensor of the given logical shape."""
     rows = math.prod(shape[:-1]) if len(shape) > 1 else 1

@@ -227,34 +227,34 @@ def _cmd_eval(args) -> int:
         rule_over["kind"] = rule_over["kind"] or "entropy"
         rule_over["threshold"] = args.delta
     rc = _resolved(args, {"rule": rule_over})
+    if args.fixed_exit is not None and not 1 <= args.fixed_exit <= arch.N_EXITS:
+        raise UsageError(f"--fixed-exit must be in 1..{arch.N_EXITS}")
     model = _load_model(args.model)
     ds = _dataset_from_args(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
-    test_idx = [i for i, s in enumerate(ds.samples) if s.split == "test"]
-    if not test_idx:
-        raise data.DataError("dataset has no test split")
-    records = []
-    for i in test_idx:
-        feat = bank.eval_feature(i)
-        label = ds.samples[i].label
-        if args.fixed_exit is not None:
-            if not 1 <= args.fixed_exit <= arch.N_EXITS:
-                raise UsageError(f"--fixed-exit must be in 1..{arch.N_EXITS}")
-            records.append(runtime.infer_fixed_exit(model, feat, args.fixed_exit, label=label))
-        else:
-            records.append(runtime.infer_early_exit(model, feat, rc["rule"], label=label))
-    n = len(records)
-    acc = sum(1 for r in records if r.prediction == r.label) / n
-    mean_exit = sum(r.exit_index for r in records) / n
-    mean_macs = sum(r.macs for r in records) / n
-    print(f"samples {n}  accuracy {acc:.4f}  mean_exit {mean_exit:.3f}  mean_macs {mean_macs:.0f}")
+    rule = rc["rule"]
+    if args.fixed_exit is None:
+        records = evaluation.sweep(model, ds, (rule.threshold,), rule.kind, rule.temperature,
+                                   bank=bank).records[rule.threshold]
+    else:
+        test_idx = [i for i, s in enumerate(ds.samples) if s.split == "test"]
+        if not test_idx:
+            raise data.DataError("dataset has no test split")
+        records = tuple(
+            runtime.infer_fixed_exit(model, bank.eval_feature(i), args.fixed_exit,
+                                     label=ds.samples[i].label)
+            for i in test_idx
+        )
+    row = evaluation.row_from_records(rule.threshold, records)
+    print(f"samples {len(records)}  accuracy {row.accuracy:.4f}  mean_exit {row.mean_exit:.3f}  "
+          f"mean_macs {row.mean_macs:.0f}")
     if args.records:
         rec_path = Path(args.records)
         rec_path.parent.mkdir(parents=True, exist_ok=True)
         sw = evaluation.SweepResult(
             model_id=evaluation.model_id(model), dataset_id=ds.name,
-            rule_kind=("fixed" if args.fixed_exit is not None else rc["rule"].kind),
-            rows=(), records={rc["rule"].threshold: tuple(records)}, baseline_accuracy=float("nan"),
+            rule_kind=("fixed" if args.fixed_exit is not None else rule.kind),
+            rows=(row,), records={rule.threshold: records}, baseline_accuracy=float("nan"),
         )
         evaluation.write_records_jsonl(sw, rec_path)
         config.write_resolved(rc["resolved"], rec_path)
@@ -267,7 +267,8 @@ def _cmd_sweep(args) -> int:
     model = _load_model(args.model)
     ds = _dataset_from_args(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
-    sw = evaluation.sweep(model, ds, rc["deltas"], bank=bank)
+    rule = rc["rule"]
+    sw = evaluation.sweep(model, ds, rc["deltas"], rule.kind, rule.temperature, bank=bank)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_sweep_csv(sw, out)
@@ -289,8 +290,9 @@ def _cmd_per_class(args) -> int:
     model = _load_model(args.model)
     ds = _dataset_from_args(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
-    delta = args.delta if args.delta is not None else rc["rule"].threshold
-    stats = evaluation.per_class_exits(model, ds, delta, bank=bank)
+    rule = rc["rule"]
+    stats = evaluation.per_class_exits(model, ds, rule.threshold, rule.kind, rule.temperature,
+                                       bank=bank)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_per_class_csv(stats, out)

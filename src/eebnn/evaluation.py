@@ -99,24 +99,23 @@ def _test_features(model, dataset, bank):
 def sweep(model: arch.Model, dataset: data.Dataset, deltas=DEFAULT_DELTAS,
           rule_kind: str = "entropy", temperature: float = 1.0,
           bank: data.FeatureBank | None = None) -> SweepResult:
-    """Early-exit inference per sample per threshold, plus aggregates."""
+    """One all-exit pass per test clip, decided at every threshold, plus aggregates."""
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("need at least one threshold")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"thresholds must be strictly increasing: {deltas}")
+    rules = [runtime.DecisionRule(kind=rule_kind, threshold=d, temperature=temperature)
+             for d in deltas]
     bank, idx = _test_features(model, dataset, bank)
     records: dict[float, list] = {d: [] for d in deltas}
     base_correct = 0
     for i in idx:
-        feat = bank.eval_feature(i)
         label = dataset.samples[i].label
-        for d in deltas:
-            rule = runtime.DecisionRule(kind=rule_kind, threshold=d, temperature=temperature)
-            records[d].append(runtime.infer_early_exit(model, feat, rule, label=label))
-        final = runtime.infer_fixed_exit(model, feat, arch.N_EXITS, label=label)
-        if final.prediction == label:
-            base_correct += 1
+        outputs = list(runtime.exit_outputs(model, bank.eval_feature(i)))
+        for rule in rules:
+            records[rule.threshold].append(runtime.decide(outputs, rule, label))
+        base_correct += int(np.argmax(outputs[-1][0])) == label  # final exit, same pass
     rows = tuple(row_from_records(d, records[d]) for d in deltas)
     return SweepResult(
         model_id=model_id(model),
@@ -173,13 +172,7 @@ def per_class_exits(model: arch.Model, dataset: data.Dataset, delta: float,
     empty_classes rather than being invented.
     """
     if records is None:
-        bank, idx = _test_features(model, dataset, bank)
-        rule = runtime.DecisionRule(kind=rule_kind, threshold=delta, temperature=temperature)
-        records = [
-            runtime.infer_early_exit(model, bank.eval_feature(i), rule,
-                                     label=dataset.samples[i].label)
-            for i in idx
-        ]
+        records = sweep(model, dataset, (delta,), rule_kind, temperature, bank).records[delta]
     counts = np.zeros((dataset.n_classes, arch.N_EXITS), dtype=int)
     for r in records:
         counts[r.label, r.exit_index - 1] += 1

@@ -75,7 +75,6 @@ def _conv_backward(dy, cache):
     dyf = dy.reshape(n * oh * ow, o)
     dw = (dyf.T @ cols).reshape(o, k, k, c)
     dcols = (dyf @ wmat).reshape(n, oh, ow, k, k, c)
-    hp = h + max(pt * 2, (oh - 1) * stride + k - h if pt else 0)
     # reconstruct padded size directly from the window arithmetic
     hp = (oh - 1) * stride + k
     wp = (ow - 1) * stride + k

@@ -1,11 +1,14 @@
 """Per-sample adaptive inference: run exits in order, stop when confident.
 
-The exit loop executes the network incrementally (prefix by prefix, batch
-size one). After each exit head the decision rule inspects the head's class
-distribution; the sample leaves at the first exit that satisfies the rule
-and otherwise falls through to the last exit. Reported MACs count exactly
-the work performed: the stem, every block executed, and every head
-evaluated along the way.
+`exit_outputs` runs one lazy pass over the trunk (batch size one) and yields
+each exit head's class distribution with the MACs and milliseconds spent so
+far. `decide` is the one exit decision: it consumes those outputs in order
+and the sample leaves at the first exit that satisfies the rule, otherwise
+at the last exit. Fed the lazy pass, work stops at the chosen exit; fed a
+stored all-exit pass, it gives the same record for any threshold without
+re-running the network. Reported MACs count exactly the work up to the
+chosen exit: the stem, every block executed, and every head evaluated along
+the way.
 
 Two rules are available:
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arch, layers
+from . import arch
 
 RULE_KINDS = ("entropy", "softmax-confidence")
 
@@ -97,52 +100,64 @@ class ExitRecord:
     prediction: int
     confidence: float  # rule statistic at the chosen exit
     trail: tuple[float, ...]  # statistic at every exit evaluated, length = exit_index
-    macs: int  # compute actually spent
-    wall_ms: float
+    macs: int  # compute spent up to and including the chosen exit
+    wall_ms: float  # from the start of the pass to the end of the chosen head
     label: int | None = None
+
+
+def exit_outputs(model: arch.Model, feature):
+    """Lazily yield (distribution, cumulative MACs, cumulative ms) per exit.
+
+    Cumulative cost covers every head evaluated so far; the time runs from
+    the start of the pass to the end of that exit's head.
+    """
+    t0 = time.perf_counter()
+    heads_before = 0
+    for head, cost, x in zip(model.exits, model.exit_costs, model.exit_activations(feature)):
+        dist = head.infer(x)
+        yield dist, cost + heads_before, 1000.0 * (time.perf_counter() - t0)
+        heads_before += head.macs
+
+
+def decide(outputs, rule: DecisionRule, label: int | None = None) -> ExitRecord:
+    """Exit at the first output that satisfies the rule, else at the last.
+
+    Consumes `outputs` (from `exit_outputs`) only up to the chosen exit.
+    """
+    trail = []
+    for dist, macs, ms in outputs:
+        trail.append(rule.confidence(dist))
+        if rule.satisfied(trail[-1]):
+            break
+    return ExitRecord(
+        exit_index=len(trail),
+        prediction=int(np.argmax(dist)),
+        confidence=trail[-1],
+        trail=tuple(trail),
+        macs=macs,
+        wall_ms=ms,
+        label=label,
+    )
 
 
 def infer_early_exit(model: arch.Model, feature, rule: DecisionRule,
                      label: int | None = None) -> ExitRecord:
     """Algorithm: evaluate exits in order, return at the first confident one."""
-    t0 = time.perf_counter()
-    state = None
-    trail = []
-    dist = None
-    chosen = arch.N_EXITS
-    for i in range(1, arch.N_EXITS + 1):
-        dist, state = model.forward_prefix(feature, i, state)
-        c = rule.confidence(dist)
-        trail.append(c)
-        if rule.satisfied(c):
-            chosen = i
-            break
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return ExitRecord(
-        exit_index=chosen,
-        prediction=int(np.argmax(dist)),
-        confidence=trail[-1],
-        trail=tuple(trail),
-        macs=state.consumed_macs,
-        wall_ms=wall_ms,
-        label=label,
-    )
+    return decide(exit_outputs(model, feature), rule, label)
 
 
 def infer_fixed_exit(model: arch.Model, feature, exit_index: int,
                      label: int | None = None) -> ExitRecord:
     """Unconditional exit at the given index (baseline for per-exit tables)."""
-    if not 1 <= exit_index <= arch.N_EXITS:
-        raise ValueError(f"exit index {exit_index} out of range 1..{arch.N_EXITS}")
     t0 = time.perf_counter()
-    dist, state = model.forward_prefix(feature, exit_index)
+    dist = model.forward_prefix(feature, exit_index)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return ExitRecord(
         exit_index=exit_index,
         prediction=int(np.argmax(dist)),
         confidence=entropy(dist),
         trail=(entropy(dist),),
-        macs=state.consumed_macs,
+        macs=model.exit_costs[exit_index - 1],
         wall_ms=wall_ms,
         label=label,
     )

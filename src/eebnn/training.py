@@ -84,28 +84,6 @@ class TrainConfig:
         return cls(**d)
 
 
-# --- losses ---------------------------------------------------------------------
-
-
-def cross_entropy(pred, label: int) -> float:
-    """-log p[label] with a probability floor guarding log(0)."""
-    p = np.asarray(pred, dtype=np.float64)
-    label = int(label)
-    if not 0 <= label < p.shape[-1]:
-        raise ValueError(f"label {label} outside [0, {p.shape[-1]})")
-    return float(-np.log(max(float(p[label]), PROB_FLOOR)))
-
-
-def joint_loss(stack, label: int, weights=None) -> float:
-    """Weighted sum of per-exit cross-entropies for one sample."""
-    probs = stack.probs if isinstance(stack, arch.ExitStack) else list(stack)
-    if weights is None:
-        weights = (1.0,) * len(probs)
-    if len(weights) != len(probs):
-        raise ValueError(f"{len(weights)} weights for {len(probs)} exits")
-    return float(sum(w * cross_entropy(p, label) for w, p in zip(weights, probs)))
-
-
 # --- optimizers -----------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
-"""Architecture tests: spec validation, route parity, costs, resumability."""
+"""Architecture tests: spec validation, route parity, costs, the lazy trunk runner."""
+import itertools
+
 import numpy as np
 import pytest
 
-from eebnn import arch, layers
+from eebnn import arch, layers, runtime
 from eebnn.arch import ArchSpec, build, toy_spec
 
 MICRO_SHAPE = (12, 10, 1)
@@ -73,24 +75,31 @@ def test_build_and_routes_agree(family):
 
 
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
-def test_prefix_matches_full_pass_and_resumes(family):
+def test_prefix_matches_full_pass(family):
     model = build(micro_spec(family), seed=8)
     feat = random_feature(2)
     stack = model.forward_all_exits(feat)
 
-    # fresh prefix per exit: same distribution, standalone cost
     for k in range(1, 6):
-        dist, state = model.forward_prefix(feat, k)
-        np.testing.assert_array_equal(dist, stack.probs[k - 1])
-        assert state.consumed_macs == stack.costs[k - 1]
-        assert state.exit_reached == k
+        # the runner stopped at exit k, and the stateless prefix built on it
+        x = list(itertools.islice(model.exit_activations(feat), k))[-1]
+        np.testing.assert_array_equal(model.exits[k - 1].infer(x), stack.probs[k - 1])
+        np.testing.assert_array_equal(model.forward_prefix(feat, k), stack.probs[k - 1])
+        # standalone cost: stem, blocks up to the placement, head k alone
+        standalone = (model.stem_macs + sum(model.block_macs[: model.placements[k - 1]])
+                      + model.exits[k - 1].macs)
+        assert standalone == stack.costs[k - 1] == model.exit_costs[k - 1]
+        assert runtime.infer_fixed_exit(model, feat, k).macs == standalone
 
-    # resumed chain 1 -> 5 consumes exactly the full-pass total
-    state = None
-    for k in range(1, 6):
-        dist, state = model.forward_prefix(feat, k, state)
-        np.testing.assert_array_equal(dist, stack.probs[k - 1])
-    assert state.consumed_macs == stack.total_macs
+    # the full chain that evaluates every head on the way costs the full pass
+    outputs = list(runtime.exit_outputs(model, feat))
+    for (dist, _, _), p in zip(outputs, stack.probs):
+        np.testing.assert_array_equal(dist, p)
+    assert outputs[-1][1] == stack.total_macs
+
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            model.forward_prefix(feat, k)
 
 
 def test_total_macs_decomposition():
@@ -98,19 +107,6 @@ def test_total_macs_decomposition():
     trunk = model.stem_macs + sum(model.block_macs)
     assert model.total_macs == trunk + sum(h.macs for h in model.exits)
     assert model.exit_costs[-1] == trunk + model.exits[-1].macs
-
-
-def test_hidden_state_guards():
-    a = build(micro_spec("quicknet"), seed=0)
-    b = build(micro_spec("quicknet"), seed=0)
-    feat = random_feature(3)
-    _, state = a.forward_prefix(feat, 2)
-    with pytest.raises(ValueError, match="different model"):
-        b.forward_prefix(feat, 3, state)
-    with pytest.raises(ValueError, match="already at exit"):
-        a.forward_prefix(feat, 2, state)
-    with pytest.raises(ValueError, match="out of range"):
-        a.forward_prefix(feat, 6)
 
 
 def test_feature_shape_validation():

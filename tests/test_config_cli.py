@@ -1,12 +1,13 @@
 """Config plumbing and end-to-end CLI tests (in-process, tiny models)."""
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from eebnn import arch, config, modelio
+from eebnn import arch, config, data, modelio, runtime
 from eebnn.cli import cli
-from eebnn.evaluation import SWEEP_CSV_HEADER
+from eebnn.evaluation import SWEEP_CSV_HEADER, read_records_jsonl
 
 # --- config ------------------------------------------------------------------
 
@@ -168,6 +169,59 @@ def test_per_class_csv(cli_model, tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("class,n,frac_exit1")
     assert len(lines) == 4
+
+
+SOFTMAX_RULE = {"kind": "softmax-confidence", "threshold": 0.5, "temperature": 2.0}
+SOFTMAX_GRID = (0.45, 0.5, 0.55, 0.6, 1.0)
+
+
+def _softmax_config(tmp_path):
+    cfg = tmp_path / "softmax.json"
+    cfg.write_text(json.dumps({"rule": SOFTMAX_RULE}))
+    return cfg
+
+
+def _direct_exits(model_path, threshold):
+    """(label, exit) per test clip from infer_early_exit run with the configured rule."""
+    model, _ = modelio.load_model(model_path)
+    ds = data.synth_dataset(3, 8, "mixed", seed=4)  # what DATASET_ARGS builds
+    bank = data.FeatureBank(ds, n_frames=model.spec.input_shape[0])
+    rule = runtime.DecisionRule(SOFTMAX_RULE["kind"], threshold, SOFTMAX_RULE["temperature"])
+    return [(ds.samples[i].label,
+             runtime.infer_early_exit(model, bank.eval_feature(i), rule).exit_index)
+            for i, s in enumerate(ds.samples) if s.split == "test"]
+
+
+def test_sweep_honours_configured_rule(cli_model, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert cli(["sweep", "--config", str(_softmax_config(tmp_path)), "--model", str(cli_model),
+                *DATASET_ARGS, "--deltas", ",".join(map(str, SOFTMAX_GRID)),
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    resolved = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+    assert resolved["rule"]["kind"] == SOFTMAX_RULE["kind"]
+    recs = read_records_jsonl(tmp_path / "sweep.records.jsonl")
+    assert len(recs) == len(SOFTMAX_GRID) * 6
+    assert all(r["rule"] == SOFTMAX_RULE["kind"] for r in recs)
+    for d in SOFTMAX_GRID:
+        got = [r["exit"] for r in recs if r["delta"] == d]
+        assert got == [e for _, e in _direct_exits(cli_model, d)], d
+
+
+def test_per_class_honours_configured_rule(cli_model, tmp_path, capsys):
+    out = tmp_path / "pc.csv"
+    delta = SOFTMAX_GRID[2]
+    assert cli(["per-class", "--config", str(_softmax_config(tmp_path)), "--model", str(cli_model),
+                *DATASET_ARGS, "--delta", str(delta), "--out", str(out)]) == 0
+    capsys.readouterr()
+    counts = np.zeros((3, arch.N_EXITS))
+    for label, e in _direct_exits(cli_model, delta):
+        counts[label, e - 1] += 1
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    for c, row in enumerate(rows):
+        assert int(row[1]) == counts[c].sum()
+        np.testing.assert_array_equal([float(v) for v in row[2:7]], counts[c] / counts[c].sum())
 
 
 def test_bench_runs(cli_model, tmp_path, capsys):

@@ -46,6 +46,26 @@ def test_sweep_records_match_rows(sw):
         assert r.accuracy == correct / len(recs)
 
 
+@pytest.mark.parametrize("kind,deltas,temperature", [
+    ("entropy", (0.1, 0.25, 0.5, 0.75, 1.0), 1.0),
+    ("softmax-confidence", (0.4, 0.5, 0.6, 0.7, 0.9), 2.0),
+])
+def test_sweep_records_match_early_exit(trained_model, easy_dataset, feature_bank, test_indices,
+                                        kind, deltas, temperature):
+    sw = sweep(trained_model, easy_dataset, deltas, kind, temperature, bank=feature_bank)
+    assert sw.rule_kind == kind
+    for d in deltas:
+        rule = runtime.DecisionRule(kind, d, temperature)
+        for rec, i in zip(sw.records[d], test_indices, strict=True):
+            want = runtime.infer_early_exit(trained_model, feature_bank.eval_feature(i), rule,
+                                            label=easy_dataset.samples[i].label)
+            for field in ("exit_index", "prediction", "confidence", "trail", "macs", "label"):
+                assert getattr(rec, field) == getattr(want, field), (kind, d, i, field)
+    final = [int(np.argmax(trained_model.forward_all_exits(feature_bank.eval_feature(i)).probs[-1]))
+             == easy_dataset.samples[i].label for i in test_indices]
+    assert sw.baseline_accuracy == sum(final) / len(final)
+
+
 def test_sweep_validation(trained_model, easy_dataset, feature_bank):
     with pytest.raises(ValueError, match="at least one"):
         sweep(trained_model, easy_dataset, deltas=(), bank=feature_bank)

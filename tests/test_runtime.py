@@ -140,3 +140,16 @@ def test_softmax_confidence_rule_runs(trained_model, feature_bank, test_indices)
     hard = DecisionRule(kind="softmax-confidence", threshold=1.0, temperature=1.0)
     rec2 = infer_early_exit(trained_model, feature_bank.eval_feature(test_indices[4]), hard)
     assert rec2.exit_index == 5 or rec2.confidence == 1.0
+
+
+def test_early_exit_stops_work_at_chosen_exit(trained_model, feature_bank, test_indices, monkeypatch):
+    ran = []
+    for b, blk in enumerate(trained_model.blocks, start=1):
+        monkeypatch.setattr(blk, "infer", lambda x, b=b, f=blk.infer: ran.append(b) or f(x))
+    for h, head in enumerate(trained_model.exits, start=1):
+        monkeypatch.setattr(head, "infer", lambda x, h=h, f=head.infer: ran.append(-h) or f(x))
+    feat = feature_bank.eval_feature(test_indices[0])
+    rec = infer_early_exit(trained_model, feat, DecisionRule("entropy", float("inf")))
+    assert rec.exit_index == 1
+    p1 = trained_model.placements[0]
+    assert ran == [*range(1, p1 + 1), -1]  # blocks past exit 1 and later heads never ran

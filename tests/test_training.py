@@ -3,42 +3,41 @@ import numpy as np
 import pytest
 
 from eebnn import arch, data, training
-from eebnn.training import (AdamState, BopState, Optimizer, TrainConfig, TrainingDiverged,
-                            cross_entropy, joint_loss, step_adam, step_bop, train_loop)
+from eebnn.training import (PROB_FLOOR, AdamState, BopState, Optimizer, TrainConfig,
+                            TrainingDiverged, _batch_losses, step_adam, step_bop, train_loop)
 
 
 def test_cross_entropy_known_value():
-    assert cross_entropy([0.1, 0.7, 0.2], 1) == pytest.approx(-np.log(0.7), rel=1e-12)
-    assert cross_entropy([1.0, 0.0], 0) == 0.0
+    # logits log(p) give back the distribution p under softmax
+    probs = np.array([[0.1, 0.7, 0.2], [0.5, 0.25, 0.25]])
+    labels = np.array([1, 0])
+    total, exit_losses, dlogits = _batch_losses([np.log(probs)], labels, (1.0,))
+    expected = np.mean([-np.log(0.7), -np.log(0.5)])
+    assert exit_losses[0] == pytest.approx(expected, rel=1e-12)
+    assert total == pytest.approx(expected, rel=1e-12)
+    onehot = np.eye(3)[labels]
+    np.testing.assert_allclose(dlogits[0], (probs - onehot) / 2, atol=1e-15)
 
 
-def test_cross_entropy_floor_and_label_bounds():
-    assert cross_entropy([1.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
-    with pytest.raises(ValueError, match="label"):
-        cross_entropy([0.5, 0.5], 2)
-    with pytest.raises(ValueError, match="label"):
-        cross_entropy([0.5, 0.5], -1)
+def test_cross_entropy_prob_floor():
+    # exp(-1000) underflows to zero; the floor keeps the loss finite
+    total, exit_losses, _ = _batch_losses([np.array([[0.0, -1000.0]])], np.array([1]), (1.0,))
+    assert exit_losses[0] == pytest.approx(-np.log(PROB_FLOOR))
+    assert total == exit_losses[0]
 
 
 def test_joint_loss_weighted_sum():
     probs = [np.array([0.6, 0.4]), np.array([0.2, 0.8]), np.array([0.5, 0.5]),
              np.array([0.9, 0.1]), np.array([0.3, 0.7])]
-    expected = sum(-np.log(p[0]) for p in probs)
-    assert joint_loss(probs, 0) == pytest.approx(expected, rel=1e-12)
+    logits = [np.log(p)[None] for p in probs]
+    labels = np.array([0])
+    total, exit_losses, _ = _batch_losses(logits, labels, (1.0,) * 5)
+    assert total == pytest.approx(sum(-np.log(p[0]) for p in probs), rel=1e-12)
     w = (1.0, 0.0, 0.0, 0.0, 2.0)
-    expected_w = -np.log(0.6) - 2 * np.log(0.3)
-    assert joint_loss(probs, 0, w) == pytest.approx(expected_w, rel=1e-12)
-    with pytest.raises(ValueError, match="weights"):
-        joint_loss(probs, 0, (1.0, 1.0))
-
-
-def test_joint_loss_accepts_exit_stack():
-    stack = arch.ExitStack(
-        probs=tuple(np.full(3, 1 / 3) for _ in range(5)),
-        costs=(1, 2, 3, 4, 5),
-        total_macs=10,
-    )
-    assert joint_loss(stack, 2) == pytest.approx(5 * np.log(3.0), rel=1e-12)
+    total_w, exit_losses_w, dlogits_w = _batch_losses(logits, labels, w)
+    assert exit_losses_w == exit_losses
+    assert total_w == pytest.approx(-np.log(0.6) - 2 * np.log(0.3), rel=1e-12)
+    assert not dlogits_w[1].any()  # a zero-weight exit sends no gradient
 
 
 @pytest.mark.parametrize("kw", [
