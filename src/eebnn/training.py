@@ -194,8 +194,12 @@ def _batch_losses(logits: list[np.ndarray], labels: np.ndarray,
 
 
 def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels,
-                    batch_size: int = 256) -> np.ndarray:
-    """Per-exit accuracy over the given samples (eval mode, batched)."""
+                    batch_size: int = 32) -> np.ndarray:
+    """Per-exit accuracy over the given samples (eval mode, batched).
+
+    Eval mode is per-sample, so the batch size changes only speed and
+    memory; small batches keep the im2col buffers in cache.
+    """
     labels = np.asarray(labels)
     correct = np.zeros(arch.N_EXITS)
     mode = layers.Mode(train=False, surrogate=False)
