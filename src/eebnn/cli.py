@@ -233,18 +233,15 @@ def _cmd_eval(args) -> int:
     ds = _dataset_from_args(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
-    if args.fixed_exit is None:
-        records = evaluation.sweep(model, ds, (rule.threshold,), rule.kind, rule.temperature,
-                                   bank=bank).records[rule.threshold]
-    else:
-        test_idx = [i for i, s in enumerate(ds.samples) if s.split == "test"]
-        if not test_idx:
-            raise data.DataError("dataset has no test split")
-        records = tuple(
-            runtime.infer_fixed_exit(model, bank.eval_feature(i), args.fixed_exit,
-                                     label=ds.samples[i].label)
-            for i in test_idx
-        )
+    bank, test_idx = evaluation.held_out_features(model, ds, bank)
+
+    def infer(i):
+        feat, label = bank.eval_feature(i), ds.samples[i].label
+        if args.fixed_exit is None:
+            return runtime.infer_early_exit(model, feat, rule, label=label)
+        return runtime.infer_fixed_exit(model, feat, args.fixed_exit, label=label)
+
+    records = tuple(infer(i) for i in test_idx)
     row = evaluation.row_from_records(rule.threshold, records)
     print(f"samples {len(records)}  accuracy {row.accuracy:.4f}  mean_exit {row.mean_exit:.3f}  "
           f"mean_macs {row.mean_macs:.0f}")

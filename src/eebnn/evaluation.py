@@ -87,7 +87,8 @@ def row_from_records(delta: float, records) -> SweepRow:
     )
 
 
-def _test_features(model, dataset, bank):
+def held_out_features(model, dataset, bank=None):
+    """The feature bank and the test-split indices; DataError if there are none."""
     if bank is None:
         bank = data.FeatureBank(dataset, n_frames=model.spec.input_shape[0])
     idx = [i for i, s in enumerate(dataset.samples) if s.split == "test"]
@@ -107,7 +108,7 @@ def sweep(model: arch.Model, dataset: data.Dataset, deltas=DEFAULT_DELTAS,
         raise ValueError(f"thresholds must be strictly increasing: {deltas}")
     rules = [runtime.DecisionRule(kind=rule_kind, threshold=d, temperature=temperature)
              for d in deltas]
-    bank, idx = _test_features(model, dataset, bank)
+    bank, idx = held_out_features(model, dataset, bank)
     records: dict[float, list] = {d: [] for d in deltas}
     base_correct = 0
     for i in idx:
@@ -172,7 +173,13 @@ def per_class_exits(model: arch.Model, dataset: data.Dataset, delta: float,
     empty_classes rather than being invented.
     """
     if records is None:
-        records = sweep(model, dataset, (delta,), rule_kind, temperature, bank).records[delta]
+        bank, idx = held_out_features(model, dataset, bank)
+        rule = runtime.DecisionRule(kind=rule_kind, threshold=delta, temperature=temperature)
+        records = [
+            runtime.infer_early_exit(model, bank.eval_feature(i), rule,
+                                     label=dataset.samples[i].label)
+            for i in idx
+        ]
     counts = np.zeros((dataset.n_classes, arch.N_EXITS), dtype=int)
     for r in records:
         counts[r.label, r.exit_index - 1] += 1
@@ -244,7 +251,7 @@ def exit_generalization_table(model: arch.Model, dataset: data.Dataset,
     of up to N_EXITS models, entry i evaluated at exit i+1; None entries
     allowed), their accuracies fill the single_exit column.
     """
-    bank, idx = _test_features(model, dataset, bank)
+    bank, idx = held_out_features(model, dataset, bank)
     labels = np.array([dataset.samples[i].label for i in idx])
     multi = training.exit_accuracies(model, bank, idx, labels).tolist()
     single = [None] * arch.N_EXITS

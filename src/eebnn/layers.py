@@ -51,7 +51,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
-    """im2col convolution; x (N,H,W,C) and w (O,k,k,C) of one float dtype."""
+    """im2col convolution; x (N,H,W,C) float64, w (O,k,k,C) float64."""
     n, h, wd, c = x.shape
     o, k = w.shape[0], w.shape[1]
     pt, pb, pl, pr = geom.pad_amounts(h, wd)
@@ -71,8 +71,6 @@ def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
 
 def _conv_backward(dy, cache):
     cols, wmat, (n, h, wd, c), (pt, pl), (oh, ow), k, stride = cache
-    cols = cols.astype(np.float64, copy=False)  # float32 when cached by the ±1 route
-    wmat = wmat.astype(np.float64, copy=False)
     o = wmat.shape[0]
     dyf = dy.reshape(n * oh * ow, o)
     dw = (dyf.T @ cols).reshape(o, k, k, c)
@@ -195,13 +193,7 @@ class BinConv2d(Layer):
     def forward(self, x, mode: Mode):
         latent = self.latent.astype(np.float64)
         w_eff = binarized(latent, mode.surrogate)
-        if mode.surrogate or not np.all(np.abs(x) == 1.0):
-            y, conv_cache = _conv_forward(x, w_eff, self.geom, -1.0)
-        else:
-            # ±1 inputs and weights: every partial sum is an integer of at most
-            # k*k*C, exact in float32, so the half-width route gives the same y
-            y, conv_cache = _conv_forward(x.astype(np.float32), w_eff.astype(np.float32), self.geom, -1.0)
-            y = y.astype(np.float64)
+        y, conv_cache = _conv_forward(x, w_eff, self.geom, -1.0)
         self._cache = (conv_cache, latent)
         return y
 
@@ -260,53 +252,33 @@ class BatchNorm(Layer):
     def forward(self, x, mode: Mode):
         axes = tuple(range(x.ndim - 1))
         if mode.train:
-            # same reductions and rounding as x.mean / x.var, with the centred
-            # copy computed once and reused for xhat
-            m = np.prod([x.shape[a] for a in axes])
-            mean = x.sum(axis=axes) / m
-            xhat = x - mean
-            sq = np.multiply(xhat, xhat)
-            var = sq.sum(axis=axes) / m
+            mean = x.mean(axis=axes)
+            var = x.var(axis=axes)
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv
+            xhat = (x - mean) * inv
             self.running_mean = ((1 - self.momentum) * self.running_mean + self.momentum * mean).astype(np.float32)
             self.running_var = ((1 - self.momentum) * self.running_var + self.momentum * var).astype(np.float32)
             self._cache = (xhat, inv, axes, "train")
-            return self._scale_shift(xhat, out=sq)
+            return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
         return self._affine_eval(x, cache=True)
-
-    def _scale_shift(self, xhat, out=None):
-        y = np.multiply(self.gamma.astype(np.float64), xhat, out=out)
-        y += self.beta.astype(np.float64)
-        return y
 
     def _affine_eval(self, x, cache=False):
         inv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
-        xhat = x - self.running_mean.astype(np.float64)
-        xhat *= inv
+        xhat = (x - self.running_mean.astype(np.float64)) * inv
         if cache:
             self._cache = (xhat, inv, tuple(range(x.ndim - 1)), "eval")
-            return self._scale_shift(xhat)
-        return self._scale_shift(xhat, out=xhat)
+        return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
 
     def backward(self, dy):
         xhat, inv, axes, kind = self._cache
-        work = np.multiply(dy, xhat)
-        self._accumulate("gamma", work.sum(axis=axes))
+        self._accumulate("gamma", (dy * xhat).sum(axis=axes))
         self._accumulate("beta", dy.sum(axis=axes))
         g = self.gamma.astype(np.float64)
         if kind == "eval":
-            return np.multiply(dy * g, inv, out=work)
+            return dy * g * inv
         m = np.prod([xhat.shape[a] for a in axes])
         dxhat = dy * g
-        np.multiply(dxhat, xhat, out=work)
-        proj = work.sum(axis=axes)
-        total = dxhat.sum(axis=axes)
-        dx = np.multiply(m, dxhat, out=work)
-        dx -= total
-        dx -= np.multiply(xhat, proj, out=dxhat)
-        dx *= inv / m
-        return dx
+        return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
 
     def infer(self, x3d):
         return self._affine_eval(x3d)
