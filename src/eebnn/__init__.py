@@ -1,9 +1,10 @@
 """Early-exit binary neural networks for audio classification.
 
-Bit-packed XNOR/popcount inference kernels, a log-mel front-end, four binary
-block families with five exit heads, joint multi-exit training (Adam/Bop),
+A log-mel front-end, four binary block families with five exit heads, one
+layer engine for joint multi-exit training (Adam/Bop) and
 entropy-thresholded adaptive inference, an evaluation harness, and a
-single-file model format.
+single-file model format with bit-packed binary weights (the XNOR/popcount
+kernels over them are the test oracle for the engine).
 """
 
 from . import arch, bitops, config, data, evaluation, frontend, layers, modelio, runtime, training

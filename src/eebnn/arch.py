@@ -12,13 +12,15 @@ block wirings are available:
 * meliusnet: dense growth followed by an improvement conv that refines the
   newly added channels in place.
 
-Every model supports two forward routes. The training route works on float
-batches with cached intermediates for backprop. The inference route works on
-one sample at a time with bit-packed kernels; both routes produce identical
-numbers in eval mode because every binary dot product is an exact small
-integer. Inference is one lazy trunk runner (`Model.exit_activations`) that
-yields the activation at each exit placement in order; a consumer that stops
-asking stops the trunk there.
+One trunk loop (`Model.trunk`) serves every route: it runs the layers' own
+forward on an (N, H, W, C) batch and lazily yields the activation at each
+exit placement, so a consumer that stops asking stops the trunk there.
+Training calls it on float batches in train mode, which caches what
+backprop needs; inference calls it in eval mode, which caches nothing, on a
+batch of one (`Model.exit_activations`). Binary layers compute on ±1 values
+in float64, where every dot product is an exact small integer, so a sample
+gets the same numbers alone or in any batch and the same numbers as the
+XNOR/popcount kernels of `bitops`.
 
 Compute is tracked in MACs (multiply-accumulates): convolutions and the exit
 dense layers are counted, element-wise ops and pooling are not. Each exit's
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitops, layers
+from . import layers
 
 N_EXITS = 5
 
@@ -159,9 +161,6 @@ class QuickBlock:
     def backward(self, dy):
         return self.sign.backward(self.conv.backward(self.bn.backward(dy)))
 
-    def infer(self, x):
-        return self.bn.infer(self.conv.infer(bitops.binarize(x)))
-
 
 def _tile_channels(x, cout):
     cin = x.shape[-1]
@@ -209,10 +208,6 @@ class BirealBlock:
         dx_main = self.sign.backward(self.conv.backward(self.bn.backward(dy)))
         return dx_main + _tile_channels_backward(dy, self.in_channels)
 
-    def infer(self, x):
-        y = self.bn.infer(self.conv.infer(bitops.binarize(x)))
-        return y + _tile_channels(x, self.out_channels)
-
 
 class DenseBlock:
     """Concatenates `growth` freshly computed channels onto the input."""
@@ -238,10 +233,6 @@ class DenseBlock:
         c = self.in_channels
         dnew = self.sign.backward(self.conv.backward(self.bn.backward(dy[..., c:])))
         return dy[..., :c] + dnew
-
-    def infer(self, x):
-        new = self.bn.infer(self.conv.infer(bitops.binarize(x)))
-        return np.concatenate([x, new], axis=-1)
 
 
 class MeliusBlock:
@@ -283,13 +274,6 @@ class MeliusBlock:
         dyy = dy + self.sign2.backward(self.conv2.backward(self.bn2.backward(ddelta)))
         dnew = self.sign1.backward(self.conv1.backward(self.bn1.backward(dyy[..., c:])))
         return dyy[..., :c] + dnew
-
-    def infer(self, x):
-        new = self.bn1.infer(self.conv1.infer(bitops.binarize(x)))
-        y = np.concatenate([x, new], axis=-1)
-        delta = self.bn2.infer(self.conv2.infer(bitops.binarize(y)))
-        y[..., -self.growth:] += delta
-        return y
 
 
 def _make_block(family, cin, width, rng):
@@ -403,11 +387,6 @@ class Model:
         for _, lay in self.named_layers():
             lay.zero_grads()
 
-    def invalidate_packed(self):
-        for _, lay in self.named_layers():
-            if hasattr(lay, "invalidate_packed"):
-                lay.invalidate_packed()
-
     # --- input handling ---
 
     def _input_array(self, feature) -> np.ndarray:
@@ -419,24 +398,29 @@ class Model:
             raise ValueError(f"feature shape {x.shape} does not match model input {self.spec.input_shape}")
         return x
 
-    # --- inference route (bit kernels, one sample) ---
+    # --- the trunk loop and its two callers ---
 
-    def exit_activations(self, feature):
-        """Yield the trunk activation at each exit placement, exit 1 first.
+    def trunk(self, x: np.ndarray, mode: layers.Mode):
+        """Yield the (N, H, W, C) activation at each exit placement, exit 1 first.
 
         Runs the stem and then the blocks lazily: blocks past the last
         activation asked for never run.
         """
-        x = self.stem_bn.infer(self.stem.infer(self._input_array(feature)))
+        x = self.stem_bn.forward(self.stem.forward(x, mode), mode)
         for b, blk in enumerate(self.blocks, start=1):
             if b in self.pool_before:
                 x = layers.avgpool2(x)
-            x = blk.infer(x)
+            x = blk.forward(x, mode)
             if b in self.placements:
                 yield x
 
+    def exit_activations(self, feature):
+        """The trunk over one sample in eval mode: a batch of one per exit."""
+        return self.trunk(self._input_array(feature)[None], layers.Mode())
+
     def forward_all_exits(self, feature) -> ExitStack:
-        probs = tuple(head.infer(x) for head, x in zip(self.exits, self.exit_activations(feature)))
+        acts = self.exit_activations(feature)
+        probs = tuple(exit_distribution(head, x) for head, x in zip(self.exits, acts))
         return ExitStack(probs, self.exit_costs, self.total_macs)
 
     def forward_prefix(self, feature, upto_exit: int) -> np.ndarray:
@@ -447,27 +431,14 @@ class Model:
         if not 1 <= upto_exit <= N_EXITS:
             raise ValueError(f"exit index {upto_exit} out of range 1..{N_EXITS}")
         x = next(itertools.islice(self.exit_activations(feature), upto_exit - 1, None))
-        return self.exits[upto_exit - 1].infer(x)
-
-    # --- training route (float batches) ---
+        return exit_distribution(self.exits[upto_exit - 1], x)
 
     def forward_train(self, xb: np.ndarray, mode: layers.Mode) -> list[np.ndarray]:
         """xb is (N, T, F, 1); returns per-exit logits, each (N, n_classes)."""
         if xb.ndim != 4 or xb.shape[1:] != self.spec.input_shape:
             raise ValueError(f"batch shape {xb.shape} does not match model input {self.spec.input_shape}")
-        x = self.stem_bn.forward(self.stem.forward(np.asarray(xb, dtype=np.float64), mode), mode)
-        self._pool_hw = {}
-        logits = [None] * N_EXITS
-        exit_i = 0
-        for b, blk in enumerate(self.blocks, start=1):
-            if b in self.pool_before:
-                self._pool_hw[b] = x.shape[1:3]
-                x = layers.avgpool2(x)
-            x = blk.forward(x, mode)
-            while exit_i < N_EXITS and self.placements[exit_i] == b:
-                logits[exit_i] = self.exits[exit_i].forward(x, mode)
-                exit_i += 1
-        return logits
+        acts = self.trunk(np.asarray(xb, dtype=np.float64), mode)
+        return [head.forward(x, mode) for head, x in zip(self.exits, acts)]
 
     def backward_train(self, dlogits: list[np.ndarray]) -> None:
         """Accumulates parameter gradients from per-exit logit gradients."""
@@ -480,9 +451,15 @@ class Model:
                 exit_i -= 1
             dy = self.blocks[b - 1].backward(dy)
             if b in self.pool_before:
-                h, w = self._pool_hw[b]
-                dy = layers.avgpool2_backward(dy, h, w)
+                # blocks keep their input's spatial size, so the map pooled
+                # before block b had block b-1's input size
+                dy = layers.avgpool2_backward(dy, *self.block_hw[b - 2])
         self.stem.backward(self.stem_bn.backward(dy))
+
+
+def exit_distribution(head: layers.ExitHead, act: np.ndarray) -> np.ndarray:
+    """Class distribution of one exit head for a batch-of-one activation."""
+    return layers.softmax(head.forward(act, layers.Mode())[0])
 
 
 def build(spec: ArchSpec, seed: int = 0) -> Model:

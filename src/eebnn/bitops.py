@@ -1,4 +1,9 @@
-"""Bit-packed ±1 tensors and the XNOR/popcount compute kernels.
+"""Bit-packed ±1 tensors and XNOR/popcount kernels over them.
+
+Packing is the storage format of binary weights in a saved model (one bit
+per weight). The kernels are the reference semantics of a binary layer:
+the network itself runs the float forward of `layers` on ±1 values, which
+is exact and faster in numpy, and the tests hold it equal to these kernels.
 
 Values are packed along the innermost axis into 64-bit words, with bit 1
 encoding +1 and bit 0 encoding -1. Pad bits in a trailing partial word are
@@ -13,8 +18,7 @@ always the packed, innermost axis):
   channels
 * dense weights: ``(units, features)``, packed along features
 
-Kernel outputs are exact integer counts stored as float32 so they compose
-with batch normalisation without a second numeric type. "Same" padding
+Kernel outputs are exact integer counts stored as float32. "Same" padding
 pads activations with -1.
 
 The ``*_reference`` functions are deliberately naive float implementations
@@ -246,11 +250,6 @@ def binary_dense(x: BitTensor, w: BitTensor) -> np.ndarray:
 
 
 # --- naive float oracle ----------------------------------------------------
-
-
-def dot_reference(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain float dot product of ±1 vectors."""
-    return float(np.dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
 
 def conv2d_reference(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> np.ndarray:

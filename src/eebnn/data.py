@@ -231,27 +231,31 @@ class FeatureBank:
         self._train: dict[int, np.ndarray] = {}
         self._crop_samples = int(round(CLIP_SECONDS * self.cfg.sample_rate))
 
-    def _fit(self, feat: np.ndarray) -> np.ndarray:
+    def _featurize(self, i: int, mode: str, rng=None) -> np.ndarray:
+        """Front-end features of sample i, fitted to n_frames.
+
+        A clip the front-end rejects raises DataError naming its file.
+        """
+        s = self.dataset.samples[i]
+        try:
+            feat = frontend.featurize(s.pcm, self.cfg, mode=mode, rng=rng).data.astype(np.float64)
+        except ValueError as e:
+            raise DataError(f"{s.path or f'sample {i}'}: {e}") from e
         if self.n_frames is None:
             return feat
         return fit_frames(feat, self.n_frames, self.cfg.log_floor)
 
     def eval_feature(self, i: int) -> np.ndarray:
         if i not in self._eval:
-            s = self.dataset.samples[i]
-            feat = frontend.featurize(s.pcm, self.cfg, mode="eval").data.astype(np.float64)
-            self._eval[i] = self._fit(feat)
+            self._eval[i] = self._featurize(i, "eval")
         return self._eval[i]
 
     def train_feature(self, i: int, rng) -> np.ndarray:
-        s = self.dataset.samples[i]
-        if len(s.pcm) <= self._crop_samples:  # crop position is forced, cacheable
+        if len(self.dataset.samples[i].pcm) <= self._crop_samples:  # crop position is forced, cacheable
             if i not in self._train:
-                feat = frontend.featurize(s.pcm, self.cfg, mode="train").data.astype(np.float64)
-                self._train[i] = self._fit(feat)
+                self._train[i] = self._featurize(i, "train")
             return self._train[i]
-        feat = frontend.featurize(s.pcm, self.cfg, mode="train", rng=rng).data.astype(np.float64)
-        return self._fit(feat)
+        return self._featurize(i, "train", rng)
 
     def train_batch(self, indices, rng) -> np.ndarray:
         feats = [self.train_feature(int(i), rng) for i in indices]

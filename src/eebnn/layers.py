@@ -1,8 +1,16 @@
-"""Differentiable layer primitives for the training route.
+"""Layer primitives: one forward serves training and inference.
 
-Each layer caches whatever its backward needs during forward, so instances
-are single-writer while training. Parameters are stored as float32;
-activations and gradients are float64.
+In train mode each layer caches whatever its backward needs, so instances
+are single-writer while training. Eval mode writes no cache: inference is a
+plain function of the input and the current parameters. Parameters are
+stored as float32; activations and gradients are float64.
+
+Binary layers compute on ±1 values held as float64 rather than on the
+bit-packed XNOR/popcount kernels of `bitops`. Every product and partial sum
+of ±1 values is a small integer, which float64 represents exactly, so the
+result equals the popcount result; in numpy the float matmul is also the
+faster of the two. The packed kernels stay as the storage format and as the
+test oracle for this forward.
 
 Binarisation runs in one of two modes:
 
@@ -89,12 +97,6 @@ def _conv_backward(dy, cache):
     return dx, dw
 
 
-def conv_infer(x3d, w, geom: bitops.ConvGeometry, pad_value: float) -> np.ndarray:
-    """Cache-free float convolution of a single (H,W,C) map."""
-    y, _ = _conv_forward(x3d[None].astype(np.float64), np.asarray(w, dtype=np.float64), geom, pad_value)
-    return y[0]
-
-
 def avgpool2(x):
     """2x2 average pooling with stride 2 on the (..., H, W, C) axes.
 
@@ -157,16 +159,15 @@ class RealConv2d(Layer):
         return {"w": self.w}
 
     def forward(self, x, mode: Mode):
-        y, self._cache = _conv_forward(x, self.w.astype(np.float64), self.geom, 0.0)
+        y, cache = _conv_forward(x, self.w.astype(np.float64), self.geom, 0.0)
+        if mode.train:
+            self._cache = cache
         return y
 
     def backward(self, dy):
         dx, dw = _conv_backward(dy, self._cache)
         self._accumulate("w", dw)
         return dx
-
-    def infer(self, x3d):
-        return conv_infer(x3d, self.w, self.geom, 0.0)
 
 
 class BinConv2d(Layer):
@@ -182,7 +183,6 @@ class BinConv2d(Layer):
         self.geom = bitops.ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         self.latent = rng.uniform(-0.9, 0.9, (out_channels, kernel, kernel, in_channels)).astype(np.float32)
         self._cache = None
-        self._packed = None
 
     def params(self):
         return {"latent": self.latent}
@@ -194,7 +194,8 @@ class BinConv2d(Layer):
         latent = self.latent.astype(np.float64)
         w_eff = binarized(latent, mode.surrogate)
         y, conv_cache = _conv_forward(x, w_eff, self.geom, -1.0)
-        self._cache = (conv_cache, latent)
+        if mode.train:
+            self._cache = (conv_cache, latent)
         return y
 
     def backward(self, dy):
@@ -202,17 +203,6 @@ class BinConv2d(Layer):
         dx, dw_eff = _conv_backward(dy, conv_cache)
         self._accumulate("latent", dw_eff * ste_mask(latent))
         return dx
-
-    def packed_weights(self) -> bitops.BitTensor:
-        if self._packed is None:
-            self._packed = bitops.binarize(self.latent.astype(np.float64))
-        return self._packed
-
-    def invalidate_packed(self):
-        self._packed = None
-
-    def infer(self, xbits: bitops.BitTensor) -> np.ndarray:
-        return bitops.binary_conv2d(xbits, self.packed_weights(), self.geom).astype(np.float64)
 
 
 class Binarize(Layer):
@@ -223,7 +213,8 @@ class Binarize(Layer):
         self._cache = None
 
     def forward(self, x, mode: Mode):
-        self._cache = x
+        if mode.train:
+            self._cache = x
         return binarized(x, mode.surrogate)
 
     def backward(self, dy):
@@ -250,52 +241,27 @@ class BatchNorm(Layer):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, mode: Mode):
-        axes = tuple(range(x.ndim - 1))
         if mode.train:
+            axes = tuple(range(x.ndim - 1))
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
             inv = 1.0 / np.sqrt(var + self.eps)
             xhat = (x - mean) * inv
             self.running_mean = ((1 - self.momentum) * self.running_mean + self.momentum * mean).astype(np.float32)
             self.running_var = ((1 - self.momentum) * self.running_var + self.momentum * var).astype(np.float32)
-            self._cache = (xhat, inv, axes, "train")
-            return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
-        return self._affine_eval(x, cache=True)
-
-    def _affine_eval(self, x, cache=False):
-        inv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
-        xhat = (x - self.running_mean.astype(np.float64)) * inv
-        if cache:
-            self._cache = (xhat, inv, tuple(range(x.ndim - 1)), "eval")
+            self._cache = (xhat, inv, axes)
+        else:
+            inv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+            xhat = (x - self.running_mean.astype(np.float64)) * inv
         return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
 
     def backward(self, dy):
-        xhat, inv, axes, kind = self._cache
+        xhat, inv, axes = self._cache
         self._accumulate("gamma", (dy * xhat).sum(axis=axes))
         self._accumulate("beta", dy.sum(axis=axes))
-        g = self.gamma.astype(np.float64)
-        if kind == "eval":
-            return dy * g * inv
         m = np.prod([xhat.shape[a] for a in axes])
-        dxhat = dy * g
+        dxhat = dy * self.gamma.astype(np.float64)
         return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
-
-    def infer(self, x3d):
-        return self._affine_eval(x3d)
-
-
-class GlobalAvgPool(Layer):
-    def __init__(self):
-        super().__init__()
-        self._hw = None
-
-    def forward(self, x, mode: Mode):
-        self._hw = x.shape[1:3]
-        return x.mean(axis=(1, 2))
-
-    def backward(self, dy):
-        h, w = self._hw
-        return np.broadcast_to(dy[:, None, None, :] / (h * w), (dy.shape[0], h, w, dy.shape[1])).copy()
 
 
 class ExitHead(Layer):
@@ -314,7 +280,6 @@ class ExitHead(Layer):
         self.scale = np.full(n_classes, 1.0 / np.sqrt(n_features), dtype=np.float32)
         self.bias = np.zeros(n_classes, dtype=np.float32)
         self._cache = None
-        self._packed = None
 
     def params(self):
         return {"latent": self.latent, "scale": self.scale, "bias": self.bias}
@@ -335,7 +300,8 @@ class ExitHead(Layer):
         wb = binarized(latent, mode.surrogate)
         ints = xb @ wb.T
         logits = self.scale.astype(np.float64) * ints + self.bias.astype(np.float64)
-        self._cache = (hw, pooled, xb, latent, wb, ints)
+        if mode.train:
+            self._cache = (hw, pooled, xb, latent, wb, ints)
         return logits
 
     def backward(self, dlogits):
@@ -349,18 +315,3 @@ class ExitHead(Layer):
         h, w = hw
         n = dpooled.shape[0]
         return np.broadcast_to(dpooled[:, None, None, :] / (h * w), (n, h, w, dpooled.shape[1])).copy()
-
-    def packed_weights(self) -> bitops.BitTensor:
-        if self._packed is None:
-            self._packed = bitops.binarize(self.latent.astype(np.float64))
-        return self._packed
-
-    def invalidate_packed(self):
-        self._packed = None
-
-    def infer(self, act3d) -> np.ndarray:
-        """Distribution over classes for a single (H, W, C) activation map."""
-        pooled = act3d.mean(axis=(0, 1))
-        ints = bitops.binary_dense(bitops.binarize(pooled), self.packed_weights()).astype(np.float64)
-        logits = self.scale.astype(np.float64) * ints + self.bias.astype(np.float64)
-        return softmax(logits)

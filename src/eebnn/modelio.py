@@ -14,8 +14,11 @@ byte size, crc32). Binary conv/dense weights are stored as their packed sign
 bits (uint64 words), which is what makes a saved binary model about 1/32 the
 size of its float equivalent; everything real-valued is float32.
 
-Loading verifies magic, version, and every checksum before any model object
-is constructed, so a corrupted file never yields a partial model. Saving
+Loading verifies magic, version, the header schema (field types, and a
+blob size that matches each blob's kind and shape) and every checksum
+before any model object is constructed, so a corrupted file never yields a
+partial model and every defect surfaces as a ModelFormatError naming the
+file. Saving
 writes to a temporary file and renames it into place. No timestamps are
 stored: identical model state produces identical bytes.
 """
@@ -23,6 +26,7 @@ stored: identical model state produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -33,6 +37,7 @@ from . import arch, bitops, layers
 
 MAGIC = b"EEBN"
 VERSION = 1
+BLOB_KINDS = ("bits", "f32")
 
 
 class ModelFormatError(Exception):
@@ -73,6 +78,45 @@ def _pack_blob(kind: str, arr: np.ndarray) -> tuple[bytes, list[int]]:
         words = bt.words.astype("<u8")
         return words.tobytes(), list(arr.shape)
     return np.ascontiguousarray(arr, dtype="<f4").tobytes(), list(arr.shape)
+
+
+def _blob_nbytes(kind: str, shape: list[int]) -> int:
+    if kind == "bits":
+        return bitops.parameter_bits(tuple(shape)) // 8
+    return 4 * math.prod(shape)
+
+
+def _is_count(v) -> bool:
+    """A non-negative JSON integer (booleans excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_header(header, path: Path) -> None:
+    """Field types of the header and a consistent size for every blob."""
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
+    for key, typ, default in (("arch", dict, None), ("blobs", list, None), ("meta", dict, {})):
+        if not isinstance(header.get(key, default), typ):
+            raise ModelFormatError(f"{path}: header field {key!r} is missing or of the wrong type")
+    if not _is_count(header.get("seed", 0)):
+        raise ModelFormatError(f"{path}: header seed {header['seed']!r} is not a non-negative integer")
+    for i, entry in enumerate(header["blobs"]):
+        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
+                or entry.get("kind") not in BLOB_KINDS
+                or not all(_is_count(entry.get(k)) for k in ("offset", "size", "crc32"))):
+            raise ModelFormatError(
+                f"{path}: blob entry {i} needs a name, a kind in {BLOB_KINDS} and "
+                "non-negative integer offset, size and crc32"
+            )
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not shape or not all(_is_count(d) and d > 0 for d in shape):
+            raise ModelFormatError(f"{path}: blob {entry['name']} has bad shape {shape!r}")
+        need = _blob_nbytes(entry["kind"], shape)
+        if entry["size"] != need:
+            raise ModelFormatError(
+                f"{path}: blob {entry['name']} of shape {shape} takes {need} bytes, "
+                f"the directory says {entry['size']}"
+            )
 
 
 def _unpack_blob(kind: str, raw: bytes, shape: list[int]) -> np.ndarray:
@@ -162,6 +206,7 @@ def load_model(path) -> tuple[arch.Model, dict]:
         header = json.loads(raw[10 : 10 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"{path}: unreadable header: {e}") from e
+    _check_header(header, path)
     blob_base = 10 + header_len
     blobs = {}
     for entry in header["blobs"]:
@@ -174,18 +219,20 @@ def load_model(path) -> tuple[arch.Model, dict]:
         chunk = raw[lo:hi]
         if zlib.crc32(chunk) != entry["crc32"]:
             raise ChecksumError(f"{path}: checksum mismatch in blob {entry['name']}")
-        blobs[entry["name"]] = _unpack_blob(entry["kind"], chunk, entry["shape"])
+        blobs[entry["name"]] = entry["kind"], _unpack_blob(entry["kind"], chunk, entry["shape"])
 
-    spec = arch.ArchSpec.from_dict(header["arch"])
-    model = arch.build(spec, seed=header.get("seed", 0))
+    try:
+        model = arch.build(arch.ArchSpec.from_dict(header["arch"]), seed=header.get("seed", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ModelFormatError(f"{path}: bad architecture {header['arch']}: {e}") from e
     for name, kind, arr in _blob_entries(model):
         if name not in blobs:
             raise ModelFormatError(f"{path}: missing blob {name}")
-        loaded = blobs[name]
-        if loaded.shape != arr.shape:
+        stored, loaded = blobs[name]
+        if stored != kind or loaded.shape != arr.shape:
             raise ModelFormatError(
-                f"{path}: blob {name} has shape {loaded.shape}, expected {arr.shape}"
+                f"{path}: blob {name} is {stored} of shape {loaded.shape}, "
+                f"expected {kind} of shape {arr.shape}"
             )
         arr[...] = loaded
-    model.invalidate_packed()
     return model, header.get("meta", {})

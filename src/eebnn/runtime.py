@@ -114,7 +114,7 @@ def exit_outputs(model: arch.Model, feature):
     t0 = time.perf_counter()
     heads_before = 0
     for head, cost, x in zip(model.exits, model.exit_costs, model.exit_activations(feature)):
-        dist = head.infer(x)
+        dist = arch.exit_distribution(head, x)
         yield dist, cost + heads_before, 1000.0 * (time.perf_counter() - t0)
         heads_before += head.macs
 

@@ -153,7 +153,6 @@ class Optimizer:
                 self.bop_group[path] = (lay, pname, arr)
             else:
                 self.adam_group[path] = (lay, pname, arr)
-        model.invalidate_packed()
         self.adam_state = AdamState()
         self.bop_state = BopState(gamma=cfg.bop_gamma, tau=cfg.bop_tau)
 
@@ -171,7 +170,6 @@ class Optimizer:
         if self.bop_group:
             params, grads = self._gather(self.bop_group)
             step_bop(params, grads, self.bop_state)
-        self.model.invalidate_packed()
 
 
 # --- training loop ----------------------------------------------------------------

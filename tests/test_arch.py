@@ -1,10 +1,10 @@
-"""Architecture tests: spec validation, route parity, costs, the lazy trunk runner."""
+"""Architecture tests: spec validation, engine parity, costs, the lazy trunk runner."""
 import itertools
 
 import numpy as np
 import pytest
 
-from eebnn import arch, layers, runtime
+from eebnn import arch, bitops, layers, runtime
 from eebnn.arch import ArchSpec, build, toy_spec
 
 MICRO_SHAPE = (12, 10, 1)
@@ -56,22 +56,51 @@ def test_spec_dict_round_trip():
     assert ArchSpec.from_dict(spec.to_dict()) == spec
 
 
-@pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
-def test_build_and_routes_agree(family):
-    model = build(micro_spec(family), seed=4)
-    feat = random_feature(1)
+def _bit_kernel_forward(self, x, mode):
+    """BinConv2d.forward through the XNOR/popcount kernel, one sample at a time."""
+    w = bitops.binarize(self.latent.astype(np.float64))
+    return np.stack([bitops.binary_conv2d(bitops.binarize(xi), w, self.geom) for xi in x]).astype(np.float64)
 
-    stack = model.forward_all_exits(feat)
+
+@pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
+def test_build_and_routes_agree(family, monkeypatch):
+    model = build(micro_spec(family), seed=4)
+    feats = [random_feature(s) for s in (1, 2, 3)]
+
+    stack = model.forward_all_exits(feats[1])
     assert len(stack.probs) == 5
     for p in stack.probs:
         assert p.shape == (3,)
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
     assert all(b > a for a, b in zip(stack.costs, stack.costs[1:]))
 
-    # float training route in eval mode must match the packed-bit route exactly
-    logits = model.forward_train(feat[None], layers.Mode())
-    for k in range(5):
-        np.testing.assert_array_equal(layers.softmax(logits[k][0]), stack.probs[k])
+    # a sample gets the same numbers alone as in a batch
+    logits = model.forward_train(np.stack(feats), layers.Mode())
+    for i, feat in enumerate(feats):
+        probs = model.forward_all_exits(feat).probs
+        for k in range(5):
+            np.testing.assert_array_equal(layers.softmax(logits[k][i]), probs[k])
+
+    # and the same numbers as with every binary conv on the bit kernel
+    monkeypatch.setattr(layers.BinConv2d, "forward", _bit_kernel_forward)
+    for p, q in zip(model.forward_all_exits(feats[1]).probs, stack.probs):
+        np.testing.assert_array_equal(p, q)
+
+
+def test_inference_reads_current_weights_and_caches_nothing():
+    model = build(micro_spec("meliusnet"), seed=5)
+    feat = random_feature(4)
+    before = model.forward_all_exits(feat).probs
+    every_layer = [model.stem, model.stem_bn, *model.exits,
+                   *(lay for blk in model.blocks for lay in vars(blk).values()
+                     if isinstance(lay, layers.Layer))]
+    assert all(lay._cache is None for lay in every_layer)
+
+    model.exits[0].latent[0, 0] *= -1.0  # flips one binary weight of exit 1
+    after = model.forward_all_exits(feat).probs
+    assert not np.array_equal(after[0], before[0])
+    for p, q in zip(after[1:], before[1:]):
+        np.testing.assert_array_equal(p, q)
 
 
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
@@ -83,7 +112,7 @@ def test_prefix_matches_full_pass(family):
     for k in range(1, 6):
         # the runner stopped at exit k, and the stateless prefix built on it
         x = list(itertools.islice(model.exit_activations(feat), k))[-1]
-        np.testing.assert_array_equal(model.exits[k - 1].infer(x), stack.probs[k - 1])
+        np.testing.assert_array_equal(arch.exit_distribution(model.exits[k - 1], x), stack.probs[k - 1])
         np.testing.assert_array_equal(model.forward_prefix(feat, k), stack.probs[k - 1])
         # standalone cost: stem, blocks up to the placement, head k alone
         standalone = (model.stem_macs + sum(model.block_macs[: model.placements[k - 1]])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eebnn import arch, config, data, modelio, runtime
+from eebnn import arch, config, data, frontend, modelio, runtime
 from eebnn.cli import cli
 from eebnn.evaluation import SWEEP_CSV_HEADER, read_records_jsonl
 
@@ -313,6 +313,35 @@ def test_missing_and_corrupt_model_exit_code_two(cli_model, tmp_path, capsys):
     assert cli(["eval", "--model", str(corrupt), *DATASET_ARGS, "--delta", "0.5"]) == 2
     err = capsys.readouterr().err
     assert "checksum" in err
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """The container with its JSON header passed through `edit`."""
+    n = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + n])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    return raw[:6] + len(new).to_bytes(4, "little") + new + raw[10 + n:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("blobs"),
+    lambda h: h["blobs"][0].update(shape=[3, 3]),
+    lambda h: h["arch"].update(family="resnet"),
+], ids=["no-blobs", "blob-shape", "unknown-family"])
+def test_malformed_model_exit_code_two(cli_model, tmp_path, capsys, edit):
+    victim = tmp_path / "malformed.eebnn"
+    victim.write_bytes(_rewrite_header(cli_model.read_bytes(), edit))
+    assert cli(["bench", "--model", str(victim), "--repeats", "1"]) == 2
+    assert str(victim) in capsys.readouterr().err
+
+
+def test_short_wav_in_manifest_exit_code_two(cli_model, tmp_path, capsys):
+    frontend.write_wav(tmp_path / "short.wav", np.zeros(100, dtype=np.float32), 16000)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\nshort.wav,2,test\n")
+    assert cli(["eval", "--model", str(cli_model), "--manifest", str(manifest)]) == 2
+    assert "short.wav" in capsys.readouterr().err
 
 
 def test_missing_wav_exit_code_two(cli_model, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Container format tests: round-trip fidelity, corruption handling, size."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eebnn import arch, modelio
 from eebnn.modelio import (BadMagicError, ChecksumError, ModelFormatError, TruncatedError,
@@ -130,3 +134,47 @@ def test_no_temp_file_left_behind(trained_model, tmp_path):
     save_model(trained_model, target)
     assert target.exists()
     assert list(tmp_path.iterdir()) == [target]
+
+
+def _json_paths(node, prefix=()):
+    """Every path (tuple of keys and indices) into a JSON value, root first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=4),
+                        st.lists(st.integers(-3, 40), max_size=4), st.just({}))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_file_loads_or_raises_format_error(saved, tmp_path_factory, data):
+    path, _ = saved
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + n])
+    if data.draw(st.booleans(), label="mutate header"):
+        where = data.draw(st.sampled_from(list(_json_paths(header))), label="path")
+        if not where:
+            header = data.draw(JSON_LEAVES, label="new header")
+        else:
+            node = header
+            for key in where[:-1]:
+                node = node[key]
+            if isinstance(node, dict) and data.draw(st.booleans(), label="delete"):
+                del node[where[-1]]
+            else:
+                node[where[-1]] = data.draw(JSON_LEAVES, label="new value")
+        head = json.dumps(header).encode("utf-8")
+        raw = raw[:6] + len(head).to_bytes(4, "little") + head + raw[10 + n:]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1:]
+    victim = tmp_path_factory.getbasetemp() / "mutated.eebnn"
+    victim.write_bytes(raw)
+    try:
+        load_model(victim)
+    except ModelFormatError as e:
+        assert str(victim) in str(e)

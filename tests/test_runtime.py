@@ -145,9 +145,9 @@ def test_softmax_confidence_rule_runs(trained_model, feature_bank, test_indices)
 def test_early_exit_stops_work_at_chosen_exit(trained_model, feature_bank, test_indices, monkeypatch):
     ran = []
     for b, blk in enumerate(trained_model.blocks, start=1):
-        monkeypatch.setattr(blk, "infer", lambda x, b=b, f=blk.infer: ran.append(b) or f(x))
+        monkeypatch.setattr(blk, "forward", lambda x, m, b=b, f=blk.forward: ran.append(b) or f(x, m))
     for h, head in enumerate(trained_model.exits, start=1):
-        monkeypatch.setattr(head, "infer", lambda x, h=h, f=head.infer: ran.append(-h) or f(x))
+        monkeypatch.setattr(head, "forward", lambda x, m, h=h, f=head.forward: ran.append(-h) or f(x, m))
     feat = feature_bank.eval_feature(test_indices[0])
     rec = infer_early_exit(trained_model, feat, DecisionRule("entropy", float("inf")))
     assert rec.exit_index == 1
