@@ -18,9 +18,10 @@ exit placement, so a consumer that stops asking stops the trunk there.
 Training calls it on float batches in train mode, which caches what
 backprop needs; inference calls it in eval mode, which caches nothing, on a
 batch of one (`Model.exit_activations`). Binary layers compute on ±1 values
-in float64, where every dot product is an exact small integer, so a sample
-gets the same numbers alone or in any batch and the same numbers as the
-XNOR/popcount kernels of `bitops`.
+in float32, where every dot product is an exact integer (k·k·C ≤ 2**24),
+and cast it to float64 before batch-norm; the real-valued path stays
+float64. So a sample gets the same numbers alone or in any batch and the
+same numbers as the XNOR/popcount kernels of `bitops`.
 
 Compute is tracked in MACs (multiply-accumulates): convolutions and the exit
 dense layers are counted, element-wise ops and pooling are not. Each exit's

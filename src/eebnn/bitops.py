@@ -2,8 +2,10 @@
 
 Packing is the storage format of binary weights in a saved model (one bit
 per weight). The kernels are the reference semantics of a binary layer:
-the network itself runs the float forward of `layers` on ±1 values, which
-is exact and faster in numpy, and the tests hold it equal to these kernels.
+the network itself runs the float32 forward of `layers` on ±1 values, which
+is exact while a contraction sums at most 2**24 terms (`ConvGeometry`
+refuses wider ones) and faster in numpy, and the tests hold it equal to
+these kernels. The result is cast to float64 before batch-norm.
 
 Values are packed along the innermost axis into 64-bit words, with bit 1
 encoding +1 and bit 0 encoding -1. Pad bits in a trailing partial word are
@@ -34,6 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
+
+# float32 holds every integer up to 2**24 exactly, so a sum of at most this
+# many ±1 terms is exact in float32 whatever the order of its additions.
+FLOAT32_EXACT_TERMS = 2**24
 
 
 def _word_count(n: int) -> int:
@@ -163,6 +169,12 @@ class ConvGeometry:
             raise ValueError(f"unknown padding mode {self.padding!r}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
+        if self.kernel * self.kernel * self.in_channels > FLOAT32_EXACT_TERMS:
+            raise ValueError(
+                f"kernel {self.kernel}x{self.kernel} over {self.in_channels} channels sums "
+                f"{self.kernel * self.kernel * self.in_channels} ±1 terms, more than the "
+                f"{FLOAT32_EXACT_TERMS} that float32 adds exactly"
+            )
 
     def pad_amounts(self, h: int, w: int) -> tuple[int, int, int, int]:
         """(top, bottom, left, right) explicit padding for the input size."""

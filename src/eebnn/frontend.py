@@ -84,10 +84,16 @@ def frame_and_window(pcm: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     win = cfg.window_samples
     if len(pcm) < win:
         raise ValueError(f"input of {len(pcm)} samples is shorter than one {win}-sample window")
-    t = frame_count(len(pcm), cfg)
-    idx = np.arange(win)[None, :] + cfg.hop_samples * np.arange(t)[:, None]
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    return pcm[idx] * hann[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(pcm, win)[:: cfg.hop_samples]
+    return frames * hann_window(win)
+
+
+@functools.lru_cache(maxsize=8)
+def hann_window(n: int) -> np.ndarray:
+    """Periodic Hann window of n samples (read-only: the cache shares it)."""
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    w.setflags(write=False)
+    return w
 
 
 def power_spectrum(frames: np.ndarray, cfg: FrontendConfig) -> np.ndarray:

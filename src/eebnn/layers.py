@@ -3,24 +3,30 @@
 In train mode each layer caches whatever its backward needs, so instances
 are single-writer while training. Eval mode writes no cache: inference is a
 plain function of the input and the current parameters. Parameters are
-stored as float32; activations and gradients are float64.
+stored as float32; real-valued activations and gradients are float64.
 
-Binary layers compute on ±1 values held as float64 rather than on the
-bit-packed XNOR/popcount kernels of `bitops`. Every product and partial sum
-of ±1 values is a small integer, which float64 represents exactly, so the
-result equals the popcount result; in numpy the float matmul is also the
-faster of the two. The packed kernels stay as the storage format and as the
-test oracle for this forward.
+Binary layers compute on ±1 values held as float32 rather than on the
+bit-packed XNOR/popcount kernels of `bitops`. A dot product of k·k·C ±1
+values is an integer of magnitude at most k·k·C, and float32 represents
+every such integer and partial sum exactly while k·k·C <= 2**24, which
+`bitops.ConvGeometry` and `ExitHead` enforce. So the float32 GEMM equals the
+popcount result whatever its summation order, and in numpy it is also the
+faster of the two. Its result is cast to float64 before batch-norm, so
+everything downstream sees the same numbers as a float64 GEMM would give.
+The packed kernels stay as the storage format and as the test oracle for
+this forward.
 
 Binarisation runs in one of two modes:
 
-* sign mode (the real thing, used for training and inference), where the
-  backward applies the straight-through rule: gradients pass where the
-  pre-binarisation value lies in [-1, 1] and are zeroed outside;
-* surrogate mode, where sign is replaced by the clipped identity so the
-  whole network becomes an ordinary differentiable function. The backward
-  code is identical in both modes; surrogate mode exists so that the chain
-  rule machinery can be validated end to end with finite differences.
+* sign mode (the real thing, used for training and inference), which
+  yields float32 ±1 and whose backward applies the straight-through rule:
+  gradients pass where the pre-binarisation value lies in [-1, 1] and are
+  zeroed outside;
+* surrogate mode, where sign is replaced by the float64 clipped identity so
+  the whole network becomes an ordinary differentiable function. The
+  backward code is identical in both modes; surrogate mode exists so that
+  the chain rule machinery can be validated end to end with finite
+  differences.
 """
 
 from __future__ import annotations
@@ -39,9 +45,13 @@ class Mode:
 
 
 def binarized(x: np.ndarray, surrogate: bool) -> np.ndarray:
+    """Sign as float32 ±1 (0 and -0.0 map to +1, NaN to -1), or float64 clip."""
     if surrogate:
-        return np.clip(x, -1.0, 1.0)
-    return np.where(x >= 0, 1.0, -1.0)
+        return np.clip(x, -1.0, 1.0, dtype=np.float64)
+    b = (x >= 0).astype(np.float32)
+    b *= 2
+    b -= 1
+    return b
 
 
 def ste_mask(x: np.ndarray) -> np.ndarray:
@@ -59,20 +69,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
-    """im2col convolution; x (N,H,W,C) float64, w (O,k,k,C) float64."""
+    """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
+
+    im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
+    where every sum is an exact integer, float64 otherwise.
+    """
     n, h, wd, c = x.shape
     o, k = w.shape[0], w.shape[1]
     pt, pb, pl, pr = geom.pad_amounts(h, wd)
     oh, ow = geom.out_hw(h, wd)
     if pt or pb or pl or pr:
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=pad_value)
+        xp = np.full((n, h + pt + pb, wd + pl + pr, c), pad_value, dtype=x.dtype)
+        xp[:, pt : pt + h, pl : pl + wd] = x
     else:
         xp = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     win = win[:, :: geom.stride, :: geom.stride]  # (N, oh, ow, C, k, k)
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, k * k * c)
     wmat = w.reshape(o, k * k * c)
-    y = (cols @ wmat.T).reshape(n, oh, ow, o)
+    y = (cols @ wmat.T).astype(np.float64, copy=False).reshape(n, oh, ow, o)
     cache = (cols, wmat, (n, h, wd, c), (pt, pl), (oh, ow), k, geom.stride)
     return y, cache
 
@@ -104,10 +119,10 @@ def avgpool2(x):
     ceil(n/2) output size of a stride-2 "same" convolution.
     """
     h, wd = x.shape[-3], x.shape[-2]
-    ph, pw = h % 2, wd % 2
-    if ph or pw:
-        pads = [(0, 0)] * (x.ndim - 3) + [(0, ph), (0, pw), (0, 0)]
-        x = np.pad(x, pads)
+    if h % 2 or wd % 2:
+        xp = np.zeros(x.shape[:-3] + (h + h % 2, wd + wd % 2, x.shape[-1]), dtype=x.dtype)
+        xp[..., :h, :wd, :] = x
+        x = xp
     return 0.25 * (
         x[..., 0::2, 0::2, :] + x[..., 1::2, 0::2, :] + x[..., 0::2, 1::2, :] + x[..., 1::2, 1::2, :]
     )
@@ -191,17 +206,15 @@ class BinConv2d(Layer):
         return {"latent"}
 
     def forward(self, x, mode: Mode):
-        latent = self.latent.astype(np.float64)
-        w_eff = binarized(latent, mode.surrogate)
+        w_eff = binarized(self.latent, mode.surrogate)
         y, conv_cache = _conv_forward(x, w_eff, self.geom, -1.0)
         if mode.train:
-            self._cache = (conv_cache, latent)
+            self._cache = conv_cache
         return y
 
     def backward(self, dy):
-        conv_cache, latent = self._cache
-        dx, dw_eff = _conv_backward(dy, conv_cache)
-        self._accumulate("latent", dw_eff * ste_mask(latent))
+        dx, dw_eff = _conv_backward(dy, self._cache)
+        self._accumulate("latent", dw_eff * ste_mask(self.latent))
         return dx
 
 
@@ -250,10 +263,12 @@ class BatchNorm(Layer):
             self.running_mean = ((1 - self.momentum) * self.running_mean + self.momentum * mean).astype(np.float32)
             self.running_var = ((1 - self.momentum) * self.running_var + self.momentum * var).astype(np.float32)
             self._cache = (xhat, inv, axes)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
-            xhat = (x - self.running_mean.astype(np.float64)) * inv
-        return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
+            return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
+        y = x - self.running_mean.astype(np.float64)
+        y *= 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+        y *= self.gamma.astype(np.float64)
+        y += self.beta.astype(np.float64)
+        return y
 
     def backward(self, dy):
         xhat, inv, axes = self._cache
@@ -274,6 +289,11 @@ class ExitHead(Layer):
 
     def __init__(self, n_features, n_classes, rng):
         super().__init__()
+        if n_features > bitops.FLOAT32_EXACT_TERMS:
+            raise ValueError(
+                f"{n_features} features exceed the {bitops.FLOAT32_EXACT_TERMS} ±1 terms "
+                "that float32 adds exactly"
+            )
         self.n_features = n_features
         self.n_classes = n_classes
         self.latent = rng.uniform(-0.9, 0.9, (n_classes, n_features)).astype(np.float32)
@@ -296,20 +316,19 @@ class ExitHead(Layer):
         hw = act.shape[1:3]
         pooled = act.mean(axis=(1, 2))
         xb = binarized(pooled, mode.surrogate)
-        latent = self.latent.astype(np.float64)
-        wb = binarized(latent, mode.surrogate)
-        ints = xb @ wb.T
+        wb = binarized(self.latent, mode.surrogate)
+        ints = (xb @ wb.T).astype(np.float64, copy=False)
         logits = self.scale.astype(np.float64) * ints + self.bias.astype(np.float64)
         if mode.train:
-            self._cache = (hw, pooled, xb, latent, wb, ints)
+            self._cache = (hw, pooled, xb, wb, ints)
         return logits
 
     def backward(self, dlogits):
-        hw, pooled, xb, latent, wb, ints = self._cache
+        hw, pooled, xb, wb, ints = self._cache
         self._accumulate("scale", (dlogits * ints).sum(axis=0))
         self._accumulate("bias", dlogits.sum(axis=0))
         dints = dlogits * self.scale.astype(np.float64)
-        self._accumulate("latent", (dints.T @ xb) * ste_mask(latent))
+        self._accumulate("latent", (dints.T @ xb) * ste_mask(self.latent))
         dxb = dints @ wb
         dpooled = dxb * ste_mask(pooled)
         h, w = hw

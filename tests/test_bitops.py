@@ -61,6 +61,17 @@ def test_conv_geometry_same_padding_and_macs():
         gv.out_hw(2, 2)
 
 
+def test_conv_geometry_guards_float32_exactness():
+    # 4 * 4 * 2**20 = 2**24 ±1 terms still sum exactly in float32; one more does not
+    g = bitops.ConvGeometry(4, 1, "same", 2**20, 1)
+    assert g.kernel * g.kernel * g.in_channels == bitops.FLOAT32_EXACT_TERMS == 2**24
+    assert bitops.ConvGeometry(1, 1, "valid", 2**24, 1).in_channels == 2**24
+    with pytest.raises(ValueError, match="float32"):
+        bitops.ConvGeometry(4, 1, "same", 2**20 + 1, 1)
+    with pytest.raises(ValueError, match="float32"):
+        bitops.ConvGeometry(1, 1, "valid", 2**24 + 1, 1)
+
+
 @pytest.mark.parametrize("cin", [3, 64, 65, 100])
 def test_binary_conv2d_matches_reference(cin, rng):
     x = rng.choice([-1.0, 1.0], (7, 6, cin))

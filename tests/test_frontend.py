@@ -66,6 +66,19 @@ def test_1khz_peak_at_fft_bin_32():
     assert int(np.argmax(spec.mean(axis=0))) == 32  # 1000 / (16000/512)
 
 
+@pytest.mark.parametrize("n", [400, 401, 799, 16000, 24000])
+def test_framing_equals_gather_formulation(n):
+    pcm = np.random.default_rng(n).standard_normal(n)
+    win, hop = CFG.window_samples, CFG.hop_samples
+    t = frontend.frame_count(n, CFG)
+    idx = np.arange(win)[None, :] + hop * np.arange(t)[:, None]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    want = pcm[idx] * hann[None, :]
+    got = frontend.frame_and_window(pcm, CFG)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_parseval_on_windowed_frame():
     # rfft energy must match time-domain energy of the windowed frame
     rng = np.random.default_rng(0)

@@ -15,9 +15,23 @@ def test_binarized_sign_zero_positive():
     assert np.array_equal(layers.binarized(x, surrogate=False), [-1, -1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_binarized_sign_is_float32_with_zero_and_nan_rules(dtype):
+    x = np.array([-2.0, 0.0, -0.0, np.nan, 3.0], dtype=dtype)
+    b = layers.binarized(x, surrogate=False)
+    assert b.dtype == np.float32
+    # both zero signs map to +1; NaN fails x >= 0 and maps to -1
+    assert np.array_equal(b, [-1.0, 1.0, 1.0, -1.0, 1.0])
+
+
 def test_binarized_surrogate_is_clip():
     x = np.array([-3.0, -0.4, 0.0, 0.7, 5.0])
     assert np.array_equal(layers.binarized(x, surrogate=True), [-1.0, -0.4, 0.0, 0.7, 1.0])
+    # float32 input (a latent weight) is clipped in float64
+    x32 = x.astype(np.float32)
+    b = layers.binarized(x32, surrogate=True)
+    assert b.dtype == np.float64
+    assert np.array_equal(b, np.clip(x32.astype(np.float64), -1.0, 1.0))
 
 
 def test_ste_mask_boundary_inclusive():
@@ -85,6 +99,34 @@ def test_binconv_float_and_bit_routes_match():
         wbits = bitops.binarize(conv.latent.astype(np.float64))
         y_bits = bitops.binary_conv2d(bitops.binarize(act[0]), wbits, conv.geom)
         assert np.array_equal(y_float, y_bits)
+
+
+def test_binconv_float32_matches_bit_kernel_past_toy_widths():
+    # 3x3x512 = 4608 terms per output, sums far past the toy models' widths
+    rng = np.random.default_rng(29)
+    conv = layers.BinConv2d(512, 8, 3, 1, "same", rng)
+    act = layers.binarized(rng.standard_normal((1, 5, 6, 512)), surrogate=False)
+    assert act.dtype == np.float32
+    y = conv.forward(act, EVAL)
+    assert y.dtype == np.float64
+    y_bits = bitops.binary_conv2d(
+        bitops.binarize(act[0]), bitops.binarize(conv.latent.astype(np.float64)), conv.geom
+    )
+    assert np.array_equal(y[0], y_bits)
+
+
+class _ZeroRng:
+    """Stands in for a Generator where only the latent shape matters."""
+
+    @staticmethod
+    def uniform(lo, hi, shape):
+        return np.zeros(shape, dtype=np.float32)
+
+
+def test_exit_head_guards_float32_exactness():
+    assert layers.ExitHead(2**24, 1, _ZeroRng()).latent.shape == (1, 2**24)
+    with pytest.raises(ValueError, match="float32"):
+        layers.ExitHead(2**24 + 1, 1, _ZeroRng())
 
 
 def test_exit_head_float_and_bit_routes_match():
