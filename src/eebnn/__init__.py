@@ -8,7 +8,7 @@ kernels over them are the test oracle for the engine).
 """
 
 from . import arch, bitops, config, data, evaluation, frontend, layers, modelio, runtime, training
-from .arch import ArchSpec, ExitStack, Model, build
+from .arch import ArchSpec, Model, build
 from .data import Dataset, synth_dataset
 from .evaluation import SweepResult, bench_exits, per_class_exits, sweep
 from .frontend import FrontendConfig, MelFeature, featurize
@@ -19,7 +19,7 @@ from .training import BopState, TrainConfig, train_loop
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchSpec", "BopState", "Dataset", "DecisionRule", "ExitRecord", "ExitStack",
+    "ArchSpec", "BopState", "Dataset", "DecisionRule", "ExitRecord",
     "FrontendConfig", "MelFeature", "Model", "SweepResult", "TrainConfig",
     "bench_exits", "build", "entropy", "featurize",
     "infer_early_exit", "infer_fixed_exit", "load_model",

@@ -17,7 +17,10 @@ forward on an (N, H, W, C) batch and lazily yields the activation at each
 exit placement, so a consumer that stops asking stops the trunk there.
 Training calls it on float batches in train mode, which caches what
 backprop needs; inference calls it in eval mode, which caches nothing, on a
-batch of one (`Model.exit_activations`). Binary layers compute on ±1 values
+batch of one (`Model.exit_activations`). Per sample, the heads are read
+only by `runtime.exit_outputs` (every exit, lazily) and
+`runtime.infer_fixed_exit` (one exit), both through `exit_activations` and
+`exit_distribution`. Binary layers compute on ±1 values
 in float32, where every dot product is an exact integer (k·k·C ≤ 2**24),
 and cast it to float64 before batch-norm; the real-valued path stays
 float64. So a sample gets the same numbers alone or in any batch and the
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,24 +123,6 @@ class ArchSpec:
             exit_placements=None if placements is None else tuple(placements),
             stem_channels=d.get("stem_channels"),
         )
-
-
-@dataclass(frozen=True)
-class ExitStack:
-    """All exit distributions from one full forward pass.
-
-    costs[i] is the standalone cost of reaching exit i+1 (stem + trunk up to
-    its placement + that head alone); total_macs is the cost of this full
-    pass, which evaluates every head.
-    """
-
-    probs: tuple[np.ndarray, ...]
-    costs: tuple[int, ...]
-    total_macs: int
-
-    def __post_init__(self):
-        if len(self.probs) != len(self.costs):
-            raise ValueError("probs and costs length mismatch")
 
 
 # --- blocks -------------------------------------------------------------------
@@ -418,21 +403,6 @@ class Model:
     def exit_activations(self, feature):
         """The trunk over one sample in eval mode: a batch of one per exit."""
         return self.trunk(self._input_array(feature)[None], layers.Mode())
-
-    def forward_all_exits(self, feature) -> ExitStack:
-        acts = self.exit_activations(feature)
-        probs = tuple(exit_distribution(head, x) for head, x in zip(self.exits, acts))
-        return ExitStack(probs, self.exit_costs, self.total_macs)
-
-    def forward_prefix(self, feature, upto_exit: int) -> np.ndarray:
-        """Distribution of one exit on its own, at cost exit_costs[upto_exit - 1].
-
-        Runs the trunk up to that exit's placement and only that exit's head.
-        """
-        if not 1 <= upto_exit <= N_EXITS:
-            raise ValueError(f"exit index {upto_exit} out of range 1..{N_EXITS}")
-        x = next(itertools.islice(self.exit_activations(feature), upto_exit - 1, None))
-        return exit_distribution(self.exits[upto_exit - 1], x)
 
     def forward_train(self, xb: np.ndarray, mode: layers.Mode) -> list[np.ndarray]:
         """xb is (N, T, F, 1); returns per-exit logits, each (N, n_classes)."""

@@ -82,10 +82,6 @@ class BitTensor:
             )
         self.words.setflags(write=False)
 
-    @property
-    def packed_axis_bits(self) -> int:
-        return self.shape[-1]
-
 
 def binarize(t: np.ndarray) -> BitTensor:
     """Map a float tensor element-wise through sign and pack it.

@@ -13,7 +13,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from . import arch, data, frontend, runtime, training
+from . import arch, data, evaluation, frontend, runtime, training
 
 
 class ConfigError(ValueError):
@@ -119,7 +119,7 @@ def resolve(cfg: dict) -> dict:
         raise ConfigError(f"rule config: {e}") from e
 
     sweep_kwargs = _check_keys("sweep", cfg.get("sweep", {}))
-    deltas = tuple(float(d) for d in sweep_kwargs.get("deltas", (0.1, 0.25, 0.5, 0.75, 1.0)))
+    deltas = tuple(float(d) for d in sweep_kwargs.get("deltas", evaluation.DEFAULT_DELTAS))
 
     data_kwargs = _check_keys("data", cfg.get("data", {}))
 

@@ -194,10 +194,12 @@ def per_class_exits(model: arch.Model, dataset: data.Dataset, delta: float,
 
 def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
                 fe_cfg: frontend.FrontendConfig | None = None) -> list[dict]:
-    """Median/IQR latency of each exit prefix.
+    """Median/IQR latency of each fixed exit (`runtime.infer_fixed_exit`).
 
     `signal` may be raw PCM (1-d), in which case each timed run includes the
-    front-end, or a precomputed feature (2-d) to time the network alone.
+    front-end and crops or pads the features to the model's frame count as
+    `data.FeatureBank` does, or a precomputed feature (2-d) to time the
+    network alone.
     Repeats are interleaved round-robin across exits so clock drift hits all
     exits equally.
     """
@@ -211,9 +213,10 @@ def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
         t0 = time.perf_counter()
         if include_frontend:
             feat = frontend.featurize(signal, fe_cfg, mode="eval").data.astype(np.float64)
+            feat = data.fit_frames(feat, model.spec.input_shape[0], fe_cfg.log_floor)
         else:
             feat = signal
-        model.forward_prefix(feat, exit_index)
+        runtime.infer_fixed_exit(model, feat, exit_index)
         return 1000.0 * (time.perf_counter() - t0)
 
     times: list[list[float]] = [[] for _ in range(arch.N_EXITS)]

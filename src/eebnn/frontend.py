@@ -63,14 +63,6 @@ class MelFeature:
     data: np.ndarray  # (T, n_mels) float32
     duration_ms: float
 
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
 
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return (n_samples - cfg.window_samples) // cfg.hop_samples + 1
@@ -130,12 +122,10 @@ def filter_centers_hz(cfg: FrontendConfig) -> np.ndarray:
     return mel_to_hz(mel_pts)[1:-1]
 
 
-def mel_project_log(spec: np.ndarray, cfg: FrontendConfig, duration_ms: float | None = None) -> MelFeature:
+def mel_project_log(spec: np.ndarray, cfg: FrontendConfig, duration_ms: float) -> MelFeature:
     """Project a power spectrum onto the mel bank and log-compress."""
     energies = spec @ mel_filterbank(cfg).T
     data = np.log(energies + cfg.log_floor).astype(np.float32)
-    if duration_ms is None:
-        duration_ms = (spec.shape[0] - 1) * cfg.hop_ms + cfg.window_ms
     return MelFeature(data=data, duration_ms=float(duration_ms))
 
 
@@ -165,7 +155,7 @@ def featurize(
             pcm = pcm[offset : offset + crop]
     frames = frame_and_window(pcm, cfg)
     spec = power_spectrum(frames, cfg)
-    return mel_project_log(spec, cfg, duration_ms=duration_ms)
+    return mel_project_log(spec, cfg, duration_ms)
 
 
 def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:

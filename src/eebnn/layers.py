@@ -143,6 +143,9 @@ class Layer:
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
     def binary_param_names(self) -> set[str]:
         return set()
 

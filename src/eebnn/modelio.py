@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arch, bitops, layers
+from . import arch, bitops
 
 MAGIC = b"EEBN"
 VERSION = 1
@@ -67,9 +67,8 @@ def _blob_entries(model: arch.Model):
         for pname, arr in lay.params().items():
             kind = "bits" if pname in binary else "f32"
             yield f"{path}.{pname}", kind, arr
-        if isinstance(lay, layers.BatchNorm):
-            for bname, buf in lay.buffers().items():
-                yield f"{path}.{bname}", "f32", buf
+        for bname, buf in lay.buffers().items():
+            yield f"{path}.{bname}", "f32", buf
 
 
 def _pack_blob(kind: str, arr: np.ndarray) -> tuple[bytes, list[int]]:

@@ -1,14 +1,16 @@
 """Per-sample adaptive inference: run exits in order, stop when confident.
 
-`exit_outputs` runs one lazy pass over the trunk (batch size one) and yields
-each exit head's class distribution with the MACs and milliseconds spent so
-far. `decide` is the one exit decision: it consumes those outputs in order
-and the sample leaves at the first exit that satisfies the rule, otherwise
-at the last exit. Fed the lazy pass, work stops at the chosen exit; fed a
-stored all-exit pass, it gives the same record for any threshold without
-re-running the network. Reported MACs count exactly the work up to the
-chosen exit: the stem, every block executed, and every head evaluated along
-the way.
+The heads are read per sample in two places only, both on the lazy trunk of
+`arch.Model.exit_activations`: `exit_outputs` runs one pass (batch size
+one) and yields each exit head's class distribution with the MACs and
+milliseconds spent so far, and `infer_fixed_exit` runs the trunk to one
+exit and that head alone. `decide` is the one exit decision: it consumes
+the outputs of `exit_outputs` in order and the sample leaves at the first
+exit that satisfies the rule, otherwise at the last exit. Fed the lazy
+pass, work stops at the chosen exit; fed a stored all-exit pass, it gives
+the same record for any threshold without re-running the network. Reported
+MACs count exactly the work up to the chosen exit: the stem, every block
+executed, and every head evaluated along the way.
 
 Two rules are available:
 
@@ -22,6 +24,7 @@ Two rules are available:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -148,15 +151,22 @@ def infer_early_exit(model: arch.Model, feature, rule: DecisionRule,
 
 def infer_fixed_exit(model: arch.Model, feature, exit_index: int,
                      label: int | None = None) -> ExitRecord:
-    """Unconditional exit at the given index (baseline for per-exit tables)."""
+    """Unconditional exit at the given index (baseline for per-exit tables).
+
+    Runs the trunk to that exit and only its head: the exit's standalone cost.
+    """
     t0 = time.perf_counter()
-    dist = model.forward_prefix(feature, exit_index)
+    if not 1 <= exit_index <= arch.N_EXITS:
+        raise ValueError(f"exit index {exit_index} out of range 1..{arch.N_EXITS}")
+    x = next(itertools.islice(model.exit_activations(feature), exit_index - 1, None))
+    dist = arch.exit_distribution(model.exits[exit_index - 1], x)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
+    h = entropy(dist)
     return ExitRecord(
         exit_index=exit_index,
         prediction=int(np.argmax(dist)),
-        confidence=entropy(dist),
-        trail=(entropy(dist),),
+        confidence=h,
+        trail=(h,),
         macs=model.exit_costs[exit_index - 1],
         wall_ms=wall_ms,
         label=label,

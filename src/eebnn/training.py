@@ -29,6 +29,8 @@ ADAM_EPS = 1e-7
 
 OPTIMIZERS = ("adam", "bop")
 
+EVAL_BATCH_SIZE = 32  # clips per batch in exit_accuracies
+
 
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; training aborted."""
@@ -191,8 +193,7 @@ def _batch_losses(logits: list[np.ndarray], labels: np.ndarray,
     return total, exit_losses, dlogits
 
 
-def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels,
-                    batch_size: int = 32) -> np.ndarray:
+def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels) -> np.ndarray:
     """Per-exit accuracy over the given samples (eval mode, batched).
 
     Eval mode is per-sample, so the batch size changes only speed and
@@ -201,10 +202,10 @@ def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels,
     labels = np.asarray(labels)
     correct = np.zeros(arch.N_EXITS)
     mode = layers.Mode(train=False, surrogate=False)
-    for lo in range(0, len(indices), batch_size):
-        idx = indices[lo : lo + batch_size]
+    for lo in range(0, len(indices), EVAL_BATCH_SIZE):
+        idx = indices[lo : lo + EVAL_BATCH_SIZE]
         xb = bank.eval_batch(idx)
-        yb = labels[lo : lo + batch_size]
+        yb = labels[lo : lo + EVAL_BATCH_SIZE]
         logits = model.forward_train(xb, mode)
         for e, lg in enumerate(logits):
             correct[e] += int(np.sum(np.argmax(lg, axis=1) == yb))

@@ -1,5 +1,4 @@
 """Architecture tests: spec validation, engine parity, costs, the lazy trunk runner."""
-import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +16,10 @@ def micro_spec(family, **kw):
 
 def random_feature(seed=0, shape=MICRO_SHAPE):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def exit_probs(model, feat):
+    return [d for d, _, _ in runtime.exit_outputs(model, feat)]
 
 
 def test_family_suffix_normalization():
@@ -67,68 +70,75 @@ def test_build_and_routes_agree(family, monkeypatch):
     model = build(micro_spec(family), seed=4)
     feats = [random_feature(s) for s in (1, 2, 3)]
 
-    stack = model.forward_all_exits(feats[1])
-    assert len(stack.probs) == 5
-    for p in stack.probs:
+    probs1 = exit_probs(model, feats[1])
+    assert len(probs1) == 5
+    for p in probs1:
         assert p.shape == (3,)
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
-    assert all(b > a for a, b in zip(stack.costs, stack.costs[1:]))
+    assert all(b > a for a, b in zip(model.exit_costs, model.exit_costs[1:]))
 
     # a sample gets the same numbers alone as in a batch
     logits = model.forward_train(np.stack(feats), layers.Mode())
     for i, feat in enumerate(feats):
-        probs = model.forward_all_exits(feat).probs
+        probs = exit_probs(model, feat)
         for k in range(5):
             np.testing.assert_array_equal(layers.softmax(logits[k][i]), probs[k])
 
     # and the same numbers as with every binary conv on the bit kernel
     monkeypatch.setattr(layers.BinConv2d, "forward", _bit_kernel_forward)
-    for p, q in zip(model.forward_all_exits(feats[1]).probs, stack.probs):
+    for p, q in zip(exit_probs(model, feats[1]), probs1, strict=True):
         np.testing.assert_array_equal(p, q)
 
 
 def test_inference_reads_current_weights_and_caches_nothing():
     model = build(micro_spec("meliusnet"), seed=5)
     feat = random_feature(4)
-    before = model.forward_all_exits(feat).probs
+    before = exit_probs(model, feat)
     every_layer = [model.stem, model.stem_bn, *model.exits,
                    *(lay for blk in model.blocks for lay in vars(blk).values()
                      if isinstance(lay, layers.Layer))]
     assert all(lay._cache is None for lay in every_layer)
 
     model.exits[0].latent[0, 0] *= -1.0  # flips one binary weight of exit 1
-    after = model.forward_all_exits(feat).probs
+    after = exit_probs(model, feat)
     assert not np.array_equal(after[0], before[0])
     for p, q in zip(after[1:], before[1:]):
         np.testing.assert_array_equal(p, q)
 
 
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
-def test_prefix_matches_full_pass(family):
+def test_prefix_matches_full_pass(family, monkeypatch):
+    """The fixed exit (trunk prefix to exit k, head k alone) against the all-exit pass."""
     model = build(micro_spec(family), seed=8)
     feat = random_feature(2)
-    stack = model.forward_all_exits(feat)
+    outputs = list(runtime.exit_outputs(model, feat))
+    assert len(outputs) == 5
 
+    read = []
+    exit_distribution = arch.exit_distribution
+    monkeypatch.setattr(arch, "exit_distribution",
+                        lambda head, x: read.append((head, exit_distribution(head, x))) or read[-1][1])
     for k in range(1, 6):
-        # the runner stopped at exit k, and the stateless prefix built on it
-        x = list(itertools.islice(model.exit_activations(feat), k))[-1]
-        np.testing.assert_array_equal(arch.exit_distribution(model.exits[k - 1], x), stack.probs[k - 1])
-        np.testing.assert_array_equal(model.forward_prefix(feat, k), stack.probs[k - 1])
+        dist = outputs[k - 1][0]
+        rec = runtime.infer_fixed_exit(model, feat, k)
+        # head k alone was read, on the same activation as in the full pass
+        assert len(read) == k and read[-1][0] is model.exits[k - 1]
+        np.testing.assert_array_equal(read[-1][1], dist)
+        assert rec.exit_index == k and rec.prediction == int(np.argmax(dist))
+        assert rec.confidence == runtime.entropy(dist) and rec.trail == (rec.confidence,)
         # standalone cost: stem, blocks up to the placement, head k alone
         standalone = (model.stem_macs + sum(model.block_macs[: model.placements[k - 1]])
                       + model.exits[k - 1].macs)
-        assert standalone == stack.costs[k - 1] == model.exit_costs[k - 1]
-        assert runtime.infer_fixed_exit(model, feat, k).macs == standalone
+        assert standalone == model.exit_costs[k - 1] == rec.macs
+        # the full chain also pays for every earlier head
+        assert outputs[k - 1][1] == standalone + sum(h.macs for h in model.exits[: k - 1])
 
     # the full chain that evaluates every head on the way costs the full pass
-    outputs = list(runtime.exit_outputs(model, feat))
-    for (dist, _, _), p in zip(outputs, stack.probs):
-        np.testing.assert_array_equal(dist, p)
-    assert outputs[-1][1] == stack.total_macs
+    assert outputs[-1][1] == model.total_macs
 
     for k in (0, 6):
         with pytest.raises(ValueError, match="out of range"):
-            model.forward_prefix(feat, k)
+            runtime.infer_fixed_exit(model, feat, k)
 
 
 def test_total_macs_decomposition():
@@ -141,7 +151,7 @@ def test_total_macs_decomposition():
 def test_feature_shape_validation():
     model = build(micro_spec("quicknet"), seed=0)
     with pytest.raises(ValueError, match="does not match"):
-        model.forward_all_exits(np.zeros((5, 5, 1)))
+        model.exit_activations(np.zeros((5, 5, 1)))
     with pytest.raises(ValueError, match="does not match"):
         model.forward_train(np.zeros((2, 5, 5, 1)), layers.Mode(train=True))
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import eebnn
 from eebnn import arch, config, data, frontend, modelio, runtime
 from eebnn.cli import cli
 from eebnn.evaluation import SWEEP_CSV_HEADER, read_records_jsonl
@@ -233,6 +234,17 @@ def test_bench_runs(cli_model, tmp_path, capsys):
     assert len(out.read_text().strip().splitlines()) == 6
 
 
+@pytest.mark.parametrize("seconds", [0.8, 1.5])
+def test_bench_wav_not_one_second(cli_model, tmp_path, capsys, seconds):
+    """A clip shorter or longer than the model's input is padded or cropped, as in eval."""
+    t = np.arange(int(seconds * 16000)) / 16000
+    wav = tmp_path / "clip.wav"
+    frontend.write_wav(wav, (0.5 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32), 16000)
+    assert cli(["bench", "--model", str(cli_model), "--wav", str(wav), "--repeats", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [int(r.split()[0]) for r in rows] == [1, 2, 3, 4, 5]
+
+
 def test_features_command(cli_model, tmp_path, capsys):
     wav_dir = tmp_path / "corpus"
     assert cli(["synth-data", "--classes", "2", "--per-class", "3",
@@ -276,9 +288,9 @@ def test_zero_epoch_model_equals_fresh_build(tmp_path, capsys):
     loaded, _ = modelio.load_model(out)
     fresh = arch.build(loaded.spec, seed=2)
     feat = np.random.default_rng(0).standard_normal((98, 64, 1))
-    a = loaded.forward_all_exits(feat)
-    b = fresh.forward_all_exits(feat)
-    for pa, pb in zip(a.probs, b.probs):
+    a = [d for d, _, _ in runtime.exit_outputs(loaded, feat)]
+    b = [d for d, _, _ in runtime.exit_outputs(fresh, feat)]
+    for pa, pb in zip(a, b, strict=True):
         np.testing.assert_array_equal(pa, pb)
 
 
@@ -348,6 +360,10 @@ def test_missing_wav_exit_code_two(cli_model, tmp_path, capsys):
     assert cli(["features", "--wav", str(tmp_path / "none.wav"),
                 "--out", str(tmp_path / "f.npy")]) == 2
     capsys.readouterr()
+
+
+def test_public_names_resolve():
+    assert [n for n in eebnn.__all__ if not hasattr(eebnn, n)] == []
 
 
 def test_no_command_prints_help(capsys):

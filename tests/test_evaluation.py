@@ -61,7 +61,7 @@ def test_sweep_records_match_early_exit(trained_model, easy_dataset, feature_ban
                                             label=easy_dataset.samples[i].label)
             for field in ("exit_index", "prediction", "confidence", "trail", "macs", "label"):
                 assert getattr(rec, field) == getattr(want, field), (kind, d, i, field)
-    final = [int(np.argmax(trained_model.forward_all_exits(feature_bank.eval_feature(i)).probs[-1]))
+    final = [int(np.argmax(list(runtime.exit_outputs(trained_model, feature_bank.eval_feature(i)))[-1][0]))
              == easy_dataset.samples[i].label for i in test_indices]
     assert sw.baseline_accuracy == sum(final) / len(final)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eebnn import arch, modelio
+from eebnn import arch, modelio, runtime
 from eebnn.modelio import (BadMagicError, ChecksumError, ModelFormatError, TruncatedError,
                            VersionError, load_model, save_model)
 
@@ -25,11 +25,12 @@ def test_round_trip_bit_exact_stack(saved, trained_model, feature_bank, test_ind
     assert loaded.spec == trained_model.spec
     for i in test_indices[:5]:
         feat = feature_bank.eval_feature(i)
-        a = trained_model.forward_all_exits(feat)
-        b = loaded.forward_all_exits(feat)
-        assert a.costs == b.costs
-        assert a.total_macs == b.total_macs
-        for pa, pb in zip(a.probs, b.probs):
+        a = [d for d, _, _ in runtime.exit_outputs(trained_model, feat)]
+        b = [d for d, _, _ in runtime.exit_outputs(loaded, feat)]
+        assert trained_model.exit_costs == loaded.exit_costs
+        assert trained_model.total_macs == loaded.total_macs
+        assert len(a) == len(b) == arch.N_EXITS
+        for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa, pb)
 
 

@@ -111,20 +111,19 @@ def test_early_exit_macs_match_consumed_work(trained_model, feature_bank, test_i
 def test_early_exit_prediction_matches_chosen_head(trained_model, feature_bank, test_indices):
     feat = feature_bank.eval_feature(test_indices[2])
     rec = infer_early_exit(trained_model, feat, DecisionRule("entropy", 0.75))
-    stack = trained_model.forward_all_exits(feat)
-    dist = stack.probs[rec.exit_index - 1]
+    dist = list(runtime.exit_outputs(trained_model, feat))[rec.exit_index - 1][0]
     assert rec.prediction == int(np.argmax(dist))
     assert rec.confidence == pytest.approx(entropy(dist), rel=1e-12)
 
 
 def test_fixed_exit_matches_full_pass(trained_model, feature_bank, test_indices):
     feat = feature_bank.eval_feature(test_indices[3])
-    stack = trained_model.forward_all_exits(feat)
+    probs = [d for d, _, _ in runtime.exit_outputs(trained_model, feat)]
     for k in range(1, 6):
         rec = infer_fixed_exit(trained_model, feat, k, label=7)
         assert rec.exit_index == k
-        assert rec.prediction == int(np.argmax(stack.probs[k - 1]))
-        assert rec.macs == stack.costs[k - 1]
+        assert rec.prediction == int(np.argmax(probs[k - 1]))
+        assert rec.macs == trained_model.exit_costs[k - 1]
         assert rec.label == 7
     with pytest.raises(ValueError, match="out of range"):
         infer_fixed_exit(trained_model, feat, 0)
@@ -153,3 +152,18 @@ def test_early_exit_stops_work_at_chosen_exit(trained_model, feature_bank, test_
     assert rec.exit_index == 1
     p1 = trained_model.placements[0]
     assert ran == [*range(1, p1 + 1), -1]  # blocks past exit 1 and later heads never ran
+
+
+def test_fixed_exit_stops_work_at_chosen_exit(trained_model, feature_bank, test_indices, monkeypatch):
+    ran = []
+    for b, blk in enumerate(trained_model.blocks, start=1):
+        monkeypatch.setattr(blk, "forward", lambda x, m, b=b, f=blk.forward: ran.append(b) or f(x, m))
+    for h, head in enumerate(trained_model.exits, start=1):
+        monkeypatch.setattr(head, "forward", lambda x, m, h=h, f=head.forward: ran.append(-h) or f(x, m))
+    feat = feature_bank.eval_feature(test_indices[0])
+    for k in range(1, 6):
+        ran.clear()
+        rec = infer_fixed_exit(trained_model, feat, k)
+        assert rec.exit_index == k
+        pk = trained_model.placements[k - 1]
+        assert ran == [*range(1, pk + 1), -k]  # later blocks and every other head never ran

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eebnn import arch, data, training
+from eebnn import arch, data, runtime, training
 from eebnn.training import (PROB_FLOOR, AdamState, BopState, Optimizer, TrainConfig,
                             TrainingDiverged, _batch_losses, step_adam, step_bop, train_loop)
 
@@ -151,13 +151,13 @@ def test_zero_epochs_leaves_model_untouched(easy_dataset, feature_bank):
     model = arch.build(arch.toy_spec("quicknet", n_classes=4), seed=5)
     before = {path: arr.copy() for path, _, _, arr, _ in model.named_params()}
     feat = feature_bank.eval_feature(0)
-    probs_before = model.forward_all_exits(feat).probs
+    probs_before = [d for d, _, _ in runtime.exit_outputs(model, feat)]
     history = train_loop(model, easy_dataset, TrainConfig(epochs=0), bank=feature_bank)
     assert history == []
     for path, _, _, arr, _ in model.named_params():
         np.testing.assert_array_equal(arr, before[path])
-    probs_after = model.forward_all_exits(feat).probs
-    for a, b in zip(probs_before, probs_after):
+    probs_after = [d for d, _, _ in runtime.exit_outputs(model, feat)]
+    for a, b in zip(probs_before, probs_after, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
