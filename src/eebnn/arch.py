@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,30 +99,6 @@ class ArchSpec:
     @property
     def n_blocks(self) -> int:
         return sum(self.blocks)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "widths": list(self.widths),
-            "blocks": list(self.blocks),
-            "n_classes": self.n_classes,
-            "input_shape": list(self.input_shape),
-            "exit_placements": None if self.exit_placements is None else list(self.exit_placements),
-            "stem_channels": self.stem_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchSpec":
-        placements = d.get("exit_placements")
-        return cls(
-            family=d["family"],
-            widths=tuple(d["widths"]),
-            blocks=tuple(d["blocks"]),
-            n_classes=int(d["n_classes"]),
-            input_shape=tuple(d.get("input_shape", (98, 64, 1))),
-            exit_placements=None if placements is None else tuple(placements),
-            stem_channels=d.get("stem_channels"),
-        )
 
 
 # --- blocks -------------------------------------------------------------------
@@ -312,15 +288,7 @@ class Model:
         trunk_cum = list(itertools.accumulate(self.block_macs, initial=self.stem_macs))[1:]
         if spec.exit_placements is None:
             placements = self._even_mac_placements(trunk_cum)
-            self.spec = ArchSpec(
-                family=spec.family,
-                widths=spec.widths,
-                blocks=spec.blocks,
-                n_classes=spec.n_classes,
-                input_shape=spec.input_shape,
-                exit_placements=placements,
-                stem_channels=spec.stem_channels,
-            )
+            self.spec = replace(spec, exit_placements=placements)
         self.placements = self.spec.exit_placements
 
         self.exits = [

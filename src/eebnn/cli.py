@@ -5,14 +5,17 @@ Exit codes: 0 success, 1 usage error (bad flags/config), 2 data or model
 error (missing/corrupt files, training divergence).
 
 Every artifact-producing command writes its fully resolved configuration to
-`<artifact>.config.json` next to the main output. Measured wall times in
-outputs vary run to run; all other output bytes are deterministic for a
-fixed argv and seed.
+`<artifact>.config.json` next to the main output; passed back as `--config`
+with only the path flags, it re-runs the command (`eval --fixed-exit` and
+`bench --repeats` are not recorded and must be given again). Measured wall
+times in outputs vary run to run; all other output bytes are deterministic
+for a fixed argv and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -51,20 +54,23 @@ def _build_parser() -> _Parser:
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--seed", type=int, default=None)
+
+    def add_synth(sp, seed_flag):
+        sp.add_argument("--classes", type=int, help="synthetic class count")
+        sp.add_argument("--per-class", type=int, help="synthetic samples per class")
+        sp.add_argument("--difficulty", help="easy | hard | mixed")
+        sp.add_argument(seed_flag, dest="data_seed", type=int, help="synthetic generator seed")
 
     def add_dataset(sp):
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--manifest", help="dataset manifest CSV (path,label,split)")
         g.add_argument("--synth", action="store_true", help="use the synthetic dataset")
-        sp.add_argument("--classes", type=int, default=None, help="synthetic class count")
-        sp.add_argument("--per-class", type=int, default=None, help="synthetic samples per class")
-        sp.add_argument("--difficulty", default=None, help="easy | hard | mixed")
-        sp.add_argument("--data-seed", type=int, default=None, help="synthetic generator seed")
+        add_synth(sp, "--data-seed")
 
     sp = sub.add_parser("train", help="train a model", add_help=True)
     add_common(sp)
     add_dataset(sp)
+    sp.add_argument("--seed", type=int, default=None, help="model init and shuffle seed")
     sp.add_argument("--family", default=None, choices=arch.FAMILIES)
     sp.add_argument("--widths", type=_csv_ints, default=None)
     sp.add_argument("--blocks", type=_csv_ints, default=None)
@@ -80,9 +86,8 @@ def _build_parser() -> _Parser:
     add_common(sp)
     add_dataset(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--delta", type=float, default=None, help="entropy threshold")
+    sp.add_argument("--delta", type=float, default=None, help="threshold of the configured rule")
     sp.add_argument("--rule", default=None, choices=runtime.RULE_KINDS)
-    sp.add_argument("--threshold", type=float, default=None)
     sp.add_argument("--temperature", type=float, default=None)
     sp.add_argument("--fixed-exit", type=int, default=None, help="bypass the rule, exit here")
     sp.add_argument("--records", default=None, help="write per-sample JSONL here")
@@ -115,35 +120,50 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("synth-data", help="generate synthetic WAVs + manifest")
     add_common(sp)
-    sp.add_argument("--classes", type=int, default=6)
-    sp.add_argument("--per-class", type=int, default=20)
-    sp.add_argument("--difficulty", default="mixed")
+    add_synth(sp, "--seed")
     sp.add_argument("--out", required=True, help="output directory")
 
     return p
 
 
-def _resolved(args, extra_sections=None) -> dict:
-    base = config.load_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = {}
-    if extra_sections:
-        for name, section in extra_sections.items():
-            overrides[name] = section
-    merged = config.merge(base, overrides)
-    return config.resolve(merged)
+def _merged(args, **flags) -> dict:
+    """The --config file with every given flag on top."""
+    base = config.load_config_file(args.config) if args.config else {}
+    return config.merge(base, flags)
 
 
-def _dataset_from_args(args, rc) -> data.Dataset:
-    if getattr(args, "manifest", None):
-        return data.load_manifest(args.manifest, expected_rate=rc["frontend"].sample_rate)
-    dsec = dict(rc["data"])
-    classes = args.classes if args.classes is not None else dsec.get("classes", 6)
-    per_class = args.per_class if args.per_class is not None else dsec.get("per_class", 20)
-    difficulty = args.difficulty if args.difficulty is not None else dsec.get("difficulty", "mixed")
-    seed = args.data_seed if args.data_seed is not None else dsec.get("seed", 0)
-    if not getattr(args, "synth", False) and not dsec:
+def _synth(args, merged) -> dict:
+    """`merged` with a `data` section, the synthetic dataset flags on top of it."""
+    flags = {"classes": args.classes, "per_class": args.per_class,
+             "difficulty": args.difficulty, "seed": args.data_seed}
+    return config.merge({"data": {}, **merged}, {"data": flags})
+
+
+def _dataset_merged(args, **flags) -> dict:
+    """`_merged` for a command that reads a dataset: a manifest run has no `data`
+    section, a synthetic run (--synth, or a config file with one) always has one."""
+    merged = _merged(args, **flags)
+    if args.manifest:
+        return {**merged, "data": None}
+    if not (args.synth or "data" in merged):
         raise UsageError("provide --manifest or --synth")
-    return data.synth_dataset(classes, per_class, difficulty, seed=seed)
+    return _synth(args, merged)
+
+
+def _dataset(args, rc) -> data.Dataset:
+    d = rc["data"]
+    if d is None:
+        return data.load_manifest(args.manifest, expected_rate=rc["frontend"].sample_rate)
+    return data.synth_dataset(d["classes"], d["per_class"], d["difficulty"], seed=d["seed"])
+
+
+@contextlib.contextmanager
+def _clip_errors(path):
+    """A clip the front-end rejects is a data error naming its file, as in `data.FeatureBank`."""
+    try:
+        yield
+    except ValueError as e:
+        raise data.DataError(f"{path}: {e}") from e
 
 
 def _load_model(path) -> arch.Model:
@@ -166,10 +186,8 @@ def _cmd_train(args) -> int:
         "seed": args.seed,
         "exit_weights": args.exit_weights,
     }
-    base = config.load_config_file(args.config) if args.config else {}
-    merged = config.merge(base, {"arch": arch_over, "train": train_over})
-    boot = {k: v for k, v in merged.items() if k != "arch"}  # dataset first; it sets n_classes
-    ds = _dataset_from_args(args, config.resolve(boot))
+    merged = _dataset_merged(args, arch=arch_over, train=train_over)
+    ds = _dataset(args, config.resolve({**merged, "arch": {}}))  # dataset first; it sets n_classes
     if merged.get("arch"):
         claimed = merged["arch"].get("n_classes")
         if claimed is None:
@@ -194,7 +212,7 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    meta = {"train": tc.to_dict(), "epochs_run": len(history)}
+    meta = {"train": rc["resolved"]["train"], "epochs_run": len(history)}
     report = modelio.save_model(model, out, meta=meta)
     _write_history_csv(history, out.parent / (out.name + ".history.csv"))
     config.write_resolved(rc["resolved"], out)
@@ -220,17 +238,12 @@ def _write_history_csv(history, path):
 
 
 def _cmd_eval(args) -> int:
-    rule_over = {"kind": args.rule, "threshold": args.threshold, "temperature": args.temperature}
-    if args.delta is not None:
-        if args.threshold is not None:
-            raise UsageError("--delta and --threshold are aliases; give one")
-        rule_over["kind"] = rule_over["kind"] or "entropy"
-        rule_over["threshold"] = args.delta
-    rc = _resolved(args, {"rule": rule_over})
+    rc = config.resolve(_dataset_merged(args, rule={
+        "kind": args.rule, "threshold": args.delta, "temperature": args.temperature}))
     if args.fixed_exit is not None and not 1 <= args.fixed_exit <= arch.N_EXITS:
         raise UsageError(f"--fixed-exit must be in 1..{arch.N_EXITS}")
     model = _load_model(args.model)
-    ds = _dataset_from_args(args, rc)
+    ds = _dataset(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
     bank, test_idx = evaluation.held_out_features(model, ds, bank)
@@ -260,9 +273,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rc = _resolved(args, {"sweep": {"deltas": args.deltas}})
+    rc = config.resolve(_dataset_merged(args, sweep={"deltas": args.deltas}))
     model = _load_model(args.model)
-    ds = _dataset_from_args(args, rc)
+    ds = _dataset(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
     sw = evaluation.sweep(model, ds, rc["deltas"], rule.kind, rule.temperature, bank=bank)
@@ -283,9 +296,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_per_class(args) -> int:
-    rc = _resolved(args, {"rule": {"threshold": args.delta}})
+    rc = config.resolve(_dataset_merged(args, rule={"threshold": args.delta}))
     model = _load_model(args.model)
-    ds = _dataset_from_args(args, rc)
+    ds = _dataset(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
     stats = evaluation.per_class_exits(model, ds, rule.threshold, rule.kind, rule.temperature,
@@ -306,14 +319,17 @@ def _cmd_per_class(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rc = _resolved(args)
+    rc = config.resolve({**_merged(args), "data": None})  # reads no dataset
+    if args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
     model = _load_model(args.model)
     if args.wav:
         pcm, _ = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
     else:
         t = np.arange(rc["frontend"].sample_rate) / rc["frontend"].sample_rate
         pcm = (0.5 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32)
-    table = evaluation.bench_exits(model, pcm, repeats=args.repeats, fe_cfg=rc["frontend"])
+    with _clip_errors(args.wav):  # the tone is long enough; only a --wav clip can be rejected
+        table = evaluation.bench_exits(model, pcm, repeats=args.repeats, fe_cfg=rc["frontend"])
     print("exit  macs          median_ms  iqr_ms")
     for r in table:
         print(f"{r['exit']:>4}  {r['macs']:<12}  {r['median_ms']:9.3f}  {r['iqr_ms']:6.3f}")
@@ -327,9 +343,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    rc = _resolved(args)
+    rc = config.resolve({**_merged(args), "data": None})  # reads no dataset
     pcm, rate = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
-    feat = frontend.featurize(pcm, rc["frontend"], mode="eval")
+    with _clip_errors(args.wav):
+        feat = frontend.featurize(pcm, rc["frontend"], mode="eval")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.save(out, feat.data)
@@ -340,13 +357,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_synth_data(args) -> int:
-    rc = _resolved(args, {"data": {
-        "classes": args.classes, "per_class": args.per_class,
-        "difficulty": args.difficulty, "seed": args.seed,
-    }})
-    d = rc["data"]
-    ds = data.synth_dataset(d.get("classes", 6), d.get("per_class", 20),
-                            d.get("difficulty", "mixed"), seed=d.get("seed", 0))
+    rc = config.resolve(_synth(args, _merged(args)))
+    ds = _dataset(args, rc)
     out = Path(args.out)
     manifest = data.write_manifest(ds, out)
     config.write_resolved(rc["resolved"], manifest)

@@ -1,10 +1,11 @@
 """Run configuration: one JSON file covering arch, front-end, training,
-decision rule, and sweep grid.
+decision rule, sweep grid and synthetic dataset.
 
 Sections map one-to-one onto the dataclasses they configure. Unknown keys
 anywhere are rejected so typos fail loudly instead of silently using a
 default. Command-line flags override file values; the fully resolved
-configuration is written next to every artifact a command produces.
+configuration, every default filled in, is written next to every artifact a
+command produces and re-runs that command when passed back as its config.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ class ConfigError(ValueError):
 
 SECTIONS = ("arch", "frontend", "train", "rule", "sweep", "data")
 
+# the synthetic dataset a run uses unless --manifest names real clips
+DATA_DEFAULTS = {"classes": 6, "per_class": 20, "difficulty": "mixed", "seed": 0}
+
 _SECTION_FIELDS = {
     "arch": {f.name for f in dataclasses.fields(arch.ArchSpec)},
     "frontend": {f.name for f in dataclasses.fields(frontend.FrontendConfig)},
     "train": {f.name for f in dataclasses.fields(training.TrainConfig)},
     "rule": {f.name for f in dataclasses.fields(runtime.DecisionRule)},
     "sweep": {"deltas"},
-    "data": {"classes", "per_class", "difficulty", "seed"},
+    "data": set(DATA_DEFAULTS),
 }
 
 
@@ -43,7 +47,7 @@ def _check_keys(section: str, d: dict) -> dict:
 
 
 def load_config_file(path) -> dict:
-    """Parse and structurally validate a JSON config file."""
+    """Parse and structurally validate a JSON config file; a null or empty section is absent."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -56,6 +60,7 @@ def load_config_file(path) -> dict:
     unknown = set(raw) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"{p}: unknown section(s) {sorted(unknown)}; allowed: {list(SECTIONS)}")
+    raw = {name: section for name, section in raw.items() if section not in (None, {})}
     for name, section in raw.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{p}: section {name!r} must be an object")
@@ -67,13 +72,9 @@ def merge(base: dict, overrides: dict) -> dict:
     """Per-key override of config sections; None values are ignored."""
     out = {name: dict(section) for name, section in base.items()}
     for name, section in overrides.items():
-        if not section:
-            continue
-        _check_keys(name, {k: v for k, v in section.items() if v is not None})
-        dst = out.setdefault(name, {})
-        for k, v in section.items():
-            if v is not None:
-                dst[k] = v
+        given = _check_keys(name, {k: v for k, v in section.items() if v is not None})
+        if given:
+            out.setdefault(name, {}).update(given)
     return out
 
 
@@ -82,7 +83,8 @@ def resolve(cfg: dict) -> dict:
 
     Returns {"arch": ArchSpec | None, "frontend": FrontendConfig,
     "train": TrainConfig, "rule": DecisionRule, "deltas": tuple,
-    "data": dict, "resolved": plain-dict snapshot}.
+    "data": dict | None, "resolved": plain-dict snapshot}; `data` is None
+    without a `data` section (a manifest run, or a command reading no dataset).
     """
     fe_kwargs = _check_keys("frontend", cfg.get("frontend", {}))
     try:
@@ -100,13 +102,11 @@ def resolve(cfg: dict) -> dict:
         if missing:
             raise ConfigError(f"arch config missing {sorted(missing)}")
         try:
-            spec = arch.ArchSpec(**{k: _tupled(v) for k, v in arch_section.items()})
+            spec = arch.ArchSpec(**arch_section)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"arch config: {e}") from e
 
     train_kwargs = _check_keys("train", cfg.get("train", {}))
-    if "exit_weights" in train_kwargs and train_kwargs["exit_weights"] is not None:
-        train_kwargs["exit_weights"] = tuple(train_kwargs["exit_weights"])
     try:
         tr = training.TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as e:
@@ -121,12 +121,13 @@ def resolve(cfg: dict) -> dict:
     sweep_kwargs = _check_keys("sweep", cfg.get("sweep", {}))
     deltas = tuple(float(d) for d in sweep_kwargs.get("deltas", evaluation.DEFAULT_DELTAS))
 
-    data_kwargs = _check_keys("data", cfg.get("data", {}))
+    data_section = cfg.get("data")
+    data_kwargs = None if data_section is None else {**DATA_DEFAULTS, **_check_keys("data", data_section)}
 
     resolved = {
-        "arch": spec.to_dict() if spec else None,
+        "arch": dataclasses.asdict(spec) if spec else None,
         "frontend": dataclasses.asdict(fe),
-        "train": tr.to_dict(),
+        "train": dataclasses.asdict(tr),
         "rule": dataclasses.asdict(rule),
         "sweep": {"deltas": list(deltas)},
         "data": data_kwargs,
@@ -140,10 +141,6 @@ def resolve(cfg: dict) -> dict:
         "data": data_kwargs,
         "resolved": resolved,
     }
-
-
-def _tupled(v):
-    return tuple(v) if isinstance(v, list) else v
 
 
 def write_resolved(resolved: dict, artifact_path) -> Path:

@@ -25,6 +25,7 @@ stored: identical model state produces identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -156,7 +157,7 @@ def save_model(model: arch.Model, path, meta: dict | None = None) -> dict:
         else:
             float_bytes += len(raw)
     header = {
-        "arch": model.spec.to_dict(),
+        "arch": dataclasses.asdict(model.spec),
         "seed": model.seed,
         "meta": meta or {},
         "blobs": entries,
@@ -221,7 +222,7 @@ def load_model(path) -> tuple[arch.Model, dict]:
         blobs[entry["name"]] = entry["kind"], _unpack_blob(entry["kind"], chunk, entry["shape"])
 
     try:
-        model = arch.build(arch.ArchSpec.from_dict(header["arch"]), seed=header.get("seed", 0))
+        model = arch.build(arch.ArchSpec(**header["arch"]), seed=header.get("seed", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"{path}: bad architecture {header['arch']}: {e}") from e
     for name, kind, arr in _blob_entries(model):

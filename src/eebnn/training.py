@@ -66,25 +66,6 @@ class TrainConfig:
         if not self.bop_tau > 0:
             raise ValueError("bop tau must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "exit_weights": list(self.exit_weights),
-            "bop_gamma": self.bop_gamma,
-            "bop_tau": self.bop_tau,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "exit_weights" in d:
-            d["exit_weights"] = tuple(d["exit_weights"])
-        return cls(**d)
-
 
 # --- optimizers -----------------------------------------------------------------
 

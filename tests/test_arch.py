@@ -1,5 +1,8 @@
 """Architecture tests: spec validation, engine parity, costs, the lazy trunk runner."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -56,7 +59,7 @@ def test_input_shape_validation():
 
 def test_spec_dict_round_trip():
     spec = micro_spec("birealnet", exit_placements=(1, 2, 3, 4, 6))
-    assert ArchSpec.from_dict(spec.to_dict()) == spec
+    assert ArchSpec(**json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
 
 def _bit_kernel_forward(self, x, mode):

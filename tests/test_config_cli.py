@@ -209,6 +209,18 @@ def test_sweep_honours_configured_rule(cli_model, tmp_path, capsys):
         assert got == [e for _, e in _direct_exits(cli_model, d)], d
 
 
+def test_eval_honours_configured_rule(cli_model, tmp_path, capsys):
+    """--delta sets the configured rule's threshold; it does not switch the rule to entropy."""
+    rec = tmp_path / "eval.jsonl"
+    delta = SOFTMAX_GRID[2]
+    assert cli(["eval", "--config", str(_softmax_config(tmp_path)), "--model", str(cli_model),
+                *DATASET_ARGS, "--delta", str(delta), "--records", str(rec)]) == 0
+    capsys.readouterr()
+    recs = read_records_jsonl(rec)
+    assert all(r["rule"] == SOFTMAX_RULE["kind"] and r["delta"] == delta for r in recs)
+    assert [(r["label"], r["exit"]) for r in recs] == _direct_exits(cli_model, delta)
+
+
 def test_per_class_honours_configured_rule(cli_model, tmp_path, capsys):
     out = tmp_path / "pc.csv"
     delta = SOFTMAX_GRID[2]
@@ -223,6 +235,17 @@ def test_per_class_honours_configured_rule(cli_model, tmp_path, capsys):
     for c, row in enumerate(rows):
         assert int(row[1]) == counts[c].sum()
         np.testing.assert_array_equal([float(v) for v in row[2:7]], counts[c] / counts[c].sum())
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "per-class", "bench", "features"])
+def test_seed_only_on_train_and_synth_data(cli_model, tmp_path, capsys, command):
+    io_args = {"eval": ["--model", str(cli_model), *DATASET_ARGS],
+               "sweep": ["--model", str(cli_model), *DATASET_ARGS, "--out", str(tmp_path / "s")],
+               "per-class": ["--model", str(cli_model), *DATASET_ARGS, "--out", str(tmp_path / "p")],
+               "bench": ["--model", str(cli_model)],
+               "features": ["--wav", str(tmp_path / "w.wav"), "--out", str(tmp_path / "f")]}
+    assert cli([command, *io_args[command], "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bench_runs(cli_model, tmp_path, capsys):
@@ -262,6 +285,74 @@ def test_features_command(cli_model, tmp_path, capsys):
     assert feat.shape == (98, 64)
 
 
+def test_synth_data_config_file(tmp_path, capsys):
+    """Flags left out do not override the file: its data section decides the corpus."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"classes": 3, "per_class": 5}}))
+    assert cli(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    assert len(list((tmp_path / "corpus" / "wavs").glob("*.wav"))) == 15
+    sidecar = json.loads((tmp_path / "corpus" / "manifest.csv.config.json").read_text())
+    assert sidecar["data"] == {"classes": 3, "per_class": 5, "difficulty": "mixed", "seed": 0}
+
+
+def _timeless(path):
+    """What a run wrote at `path`, minus wall-clock fields (JSONL `wall_ms`, CSV timing columns)."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    if path.suffix == ".jsonl":
+        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in read_records_jsonl(path)]
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [i for i, h in enumerate(rows[0]) if h not in ("mean_ms", "median_ms", "iqr_ms")]
+        return [[row[i] for i in keep] for row in rows]
+    return path.read_bytes()
+
+
+# command: (first run's flags, path flags, outputs with the sidecar beside the first);
+# "{d}" is the run's directory. train's first run is the cli_model fixture.
+SIDECAR_RUNS = {
+    "train": (None, ["--out", "{d}/tiny.eebnn"], ["tiny.eebnn", "tiny.eebnn.history.csv"]),
+    "eval": ([*DATASET_ARGS, "--delta", "0.25"], ["--model", "{model}", "--records", "{d}/r.jsonl"],
+             ["r.jsonl"]),
+    "sweep": ([*DATASET_ARGS, "--deltas", "0.25,0.5"], ["--model", "{model}", "--out", "{d}/s.csv"],
+              ["s.csv", "s.records.jsonl", "s.curve.csv"]),
+    "per-class": ([*DATASET_ARGS, "--delta", "0.25"], ["--model", "{model}", "--out", "{d}/p.csv"],
+                  ["p.csv"]),
+    "bench": ([], ["--model", "{model}", "--wav", "{wav}", "--out", "{d}/b.csv"], ["b.csv"]),
+    "features": ([], ["--wav", "{wav}", "--out", "{d}/f.npy"], ["f.npy"]),
+    "synth-data": (["--classes", "2", "--per-class", "3", "--difficulty", "hard", "--seed", "5"],
+                   ["--out", "{d}"], ["manifest.csv", "wavs"]),
+}
+
+
+@pytest.mark.parametrize("command", list(SIDECAR_RUNS))
+def test_sidecar_reruns_to_itself(cli_model, tmp_path, capsys, command):
+    """A command run again from its own sidecar writes the same sidecar and outputs."""
+    flags, paths, outputs = SIDECAR_RUNS[command]
+    wav = tmp_path / "clip.wav"
+    t = np.arange(12000) / 16000
+    frontend.write_wav(wav, (0.5 * np.sin(2 * np.pi * 300.0 * t)).astype(np.float32), 16000)
+
+    def run(d, *config_flags):
+        d.mkdir()
+        fill = [a.format(d=d, model=cli_model, wav=wav) for a in paths]
+        assert cli([command, *config_flags, *fill]) == 0
+
+    first, again = tmp_path / "first", tmp_path / "again"
+    if flags is None:
+        first = cli_model.parent
+    else:
+        run(first, *flags)
+    sidecar = outputs[0] + ".config.json"
+    run(again, "--config", str(first / sidecar))
+    capsys.readouterr()
+    assert (again / sidecar).read_bytes() == (first / sidecar).read_bytes()
+    for name in outputs:
+        assert _timeless(again / name) == _timeless(first / name), name
+
+
 def test_train_on_manifest(tmp_path, capsys):
     wav_dir = tmp_path / "corpus"
     assert cli(["synth-data", "--classes", "2", "--per-class", "10",
@@ -276,6 +367,28 @@ def test_train_on_manifest(tmp_path, capsys):
     model, meta = modelio.load_model(model_out)
     assert model.spec.n_classes == 2
     assert meta["epochs_run"] == 0
+
+
+def test_manifest_sidecar_reruns_only_with_manifest(tmp_path, capsys):
+    """A manifest run's sidecar claims no synthetic data: without --manifest it is a
+    usage error, with it the run repeats byte for byte."""
+    corpus = tmp_path / "corpus"
+    assert cli(["synth-data", "--classes", "2", "--per-class", "4", "--out", str(corpus)]) == 0
+    manifest = ["--manifest", str(corpus / "manifest.csv")]
+    first = tmp_path / "m.eebnn"
+    assert cli(["train", *manifest, "--family", "quicknet", "--widths", "8,16",
+                "--blocks", "3,3", "--epochs", "0", "--out", str(first)]) == 0
+    sidecar = tmp_path / "m.eebnn.config.json"
+    assert json.loads(sidecar.read_text())["data"] is None
+    capsys.readouterr()
+    assert cli(["train", "--config", str(sidecar), "--out", str(tmp_path / "x.eebnn")]) == 1
+    assert cli(["eval", "--config", str(sidecar), "--model", str(first)]) == 1
+    assert "provide --manifest or --synth" in capsys.readouterr().err
+    again = tmp_path / "again.eebnn"
+    assert cli(["train", "--config", str(sidecar), *manifest, "--out", str(again)]) == 0
+    capsys.readouterr()
+    assert again.read_bytes() == first.read_bytes()
+    assert (tmp_path / "again.eebnn.config.json").read_bytes() == sidecar.read_bytes()
 
 
 def test_zero_epoch_model_equals_fresh_build(tmp_path, capsys):
@@ -354,6 +467,16 @@ def test_short_wav_in_manifest_exit_code_two(cli_model, tmp_path, capsys):
     manifest.write_text("path,label,split\nshort.wav,2,test\n")
     assert cli(["eval", "--model", str(cli_model), "--manifest", str(manifest)]) == 2
     assert "short.wav" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "features"])
+def test_short_wav_exit_code_two(cli_model, tmp_path, capsys, command):
+    """A WAV shorter than one analysis window is a data error naming the file."""
+    wav = tmp_path / "short.wav"
+    frontend.write_wav(wav, np.zeros(100, dtype=np.float32), 16000)
+    args = {"bench": ["--model", str(cli_model)], "features": ["--out", str(tmp_path / "f.npy")]}
+    assert cli([command, "--wav", str(wav), *args[command]]) == 2
+    assert str(wav) in capsys.readouterr().err
 
 
 def test_missing_wav_exit_code_two(cli_model, tmp_path, capsys):

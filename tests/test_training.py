@@ -1,4 +1,7 @@
 """Training tests: losses, optimizer contracts, loop behavior."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -57,7 +60,7 @@ def test_train_config_rejects(kw):
 def test_train_config_dict_round_trip():
     cfg = TrainConfig(optimizer="adam", lr=0.01, batch_size=7, epochs=3, seed=9,
                       exit_weights=(1, 2, 3, 4, 5), bop_gamma=0.5, bop_tau=0.1)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_adam_matches_scalar_reference():
