@@ -2,15 +2,18 @@
 
 A model is a real-weight stem convolution (stride 2) with batch-norm, a flat
 list of binary blocks grouped into stages (2x2 average pooling between
-stages), and five exit heads attached after configurable block indices. Four
-block wirings are available:
+stages), and five exit heads attached after configurable block indices. Every
+block is built from one unit, a binary conv followed by batch-norm, and the
+binary conv binarises its own input and weights (`layers.BinConv2d`). The
+four families differ only in the wiring around that unit:
 
-* quicknet: plain sign -> binary conv -> batch-norm chain;
-* birealnet: same, plus a real-valued identity shortcut (parameter-free
+* quicknet: the unit alone;
+* birealnet: the unit plus a real-valued identity shortcut (parameter-free
   channel tiling when widths change);
-* binarydensenet: each block concatenates a fixed number of new channels;
-* meliusnet: dense growth followed by an improvement conv that refines the
-  newly added channels in place.
+* binarydensenet: the unit's output, a fixed number of new channels, is
+  concatenated onto the input;
+* meliusnet: dense growth followed by a second unit, an improvement conv
+  that refines the newly added channels in place.
 
 One trunk loop (`Model.trunk`) serves every route: it runs the layers' own
 forward on an (N, H, W, C) batch and lazily yields the activation at each
@@ -43,8 +46,6 @@ import numpy as np
 from . import layers
 
 N_EXITS = 5
-
-FAMILIES = ("quicknet", "birealnet", "binarydensenet", "meliusnet")
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,15 @@ class ArchSpec:
 
 
 class QuickBlock:
+    """Binary conv then batch-norm: the unit every family wires up.
+
+    The conv binarises its own input, so quicknet is this unit alone.
+    """
+
     def __init__(self, cin, cout, rng):
-        self.sign = layers.Binarize()
         self.conv = layers.BinConv2d(cin, cout, 3, 1, "same", rng)
         self.bn = layers.BatchNorm(cout)
+        self.in_channels = cin
         self.out_channels = cout
 
     def sublayers(self):
@@ -118,10 +124,10 @@ class QuickBlock:
         return self.conv.geom.macs(h, w)
 
     def forward(self, x, mode):
-        return self.bn.forward(self.conv.forward(self.sign.forward(x, mode), mode), mode)
+        return self.bn.forward(self.conv.forward(x, mode), mode)
 
     def backward(self, dy):
-        return self.sign.backward(self.conv.backward(self.bn.backward(dy)))
+        return self.conv.backward(self.bn.backward(dy))
 
 
 def _tile_channels(x, cout):
@@ -142,62 +148,36 @@ def _tile_channels_backward(dy, cin):
     return dx
 
 
-class BirealBlock:
-    """Binary conv with a real-valued shortcut around it.
+class BirealBlock(QuickBlock):
+    """The unit with a real-valued shortcut around it.
 
     When input and output widths differ the shortcut tiles channels
     cyclically, which keeps it parameter- and MAC-free.
     """
 
-    def __init__(self, cin, cout, rng):
-        self.sign = layers.Binarize()
-        self.conv = layers.BinConv2d(cin, cout, 3, 1, "same", rng)
-        self.bn = layers.BatchNorm(cout)
-        self.in_channels = cin
-        self.out_channels = cout
-
-    def sublayers(self):
-        return {"conv": self.conv, "bn": self.bn}
-
-    def conv_macs(self, h, w):
-        return self.conv.geom.macs(h, w)
-
     def forward(self, x, mode):
-        y = self.bn.forward(self.conv.forward(self.sign.forward(x, mode), mode), mode)
-        return y + _tile_channels(x, self.out_channels)
+        return super().forward(x, mode) + _tile_channels(x, self.out_channels)
 
     def backward(self, dy):
-        dx_main = self.sign.backward(self.conv.backward(self.bn.backward(dy)))
-        return dx_main + _tile_channels_backward(dy, self.in_channels)
+        return super().backward(dy) + _tile_channels_backward(dy, self.in_channels)
 
 
-class DenseBlock:
-    """Concatenates `growth` freshly computed channels onto the input."""
+class DenseBlock(QuickBlock):
+    """Concatenates the unit's `growth` new channels onto the input."""
 
     def __init__(self, cin, growth, rng):
-        self.sign = layers.Binarize()
-        self.conv = layers.BinConv2d(cin, growth, 3, 1, "same", rng)
-        self.bn = layers.BatchNorm(growth)
-        self.in_channels = cin
+        super().__init__(cin, growth, rng)
         self.out_channels = cin + growth
 
-    def sublayers(self):
-        return {"conv": self.conv, "bn": self.bn}
-
-    def conv_macs(self, h, w):
-        return self.conv.geom.macs(h, w)
-
     def forward(self, x, mode):
-        new = self.bn.forward(self.conv.forward(self.sign.forward(x, mode), mode), mode)
-        return np.concatenate([x, new], axis=-1)
+        return np.concatenate([x, super().forward(x, mode)], axis=-1)
 
     def backward(self, dy):
         c = self.in_channels
-        dnew = self.sign.backward(self.conv.backward(self.bn.backward(dy[..., c:])))
-        return dy[..., :c] + dnew
+        return dy[..., :c] + super().backward(dy[..., c:])
 
 
-class MeliusBlock:
+class MeliusBlock(DenseBlock):
     """Dense growth followed by an improvement conv.
 
     The improvement conv reads the concatenated map and adds a correction to
@@ -205,47 +185,30 @@ class MeliusBlock:
     """
 
     def __init__(self, cin, growth, rng):
-        self.sign1 = layers.Binarize()
-        self.conv1 = layers.BinConv2d(cin, growth, 3, 1, "same", rng)
-        self.bn1 = layers.BatchNorm(growth)
-        self.sign2 = layers.Binarize()
+        super().__init__(cin, growth, rng)
         self.conv2 = layers.BinConv2d(cin + growth, growth, 3, 1, "same", rng)
         self.bn2 = layers.BatchNorm(growth)
-        self.in_channels = cin
-        self.growth = growth
-        self.out_channels = cin + growth
 
     def sublayers(self):
-        return {"conv1": self.conv1, "bn1": self.bn1, "conv2": self.conv2, "bn2": self.bn2}
+        return {"conv1": self.conv, "bn1": self.bn, "conv2": self.conv2, "bn2": self.bn2}
 
     def conv_macs(self, h, w):
-        return self.conv1.geom.macs(h, w) + self.conv2.geom.macs(h, w)
+        return super().conv_macs(h, w) + self.conv2.geom.macs(h, w)
 
     def forward(self, x, mode):
-        new = self.bn1.forward(self.conv1.forward(self.sign1.forward(x, mode), mode), mode)
-        y = np.concatenate([x, new], axis=-1)
-        delta = self.bn2.forward(self.conv2.forward(self.sign2.forward(y, mode), mode), mode)
-        out = y.copy()
-        out[..., -self.growth:] += delta
+        y = super().forward(x, mode)
+        out = y.copy()  # conv2 keeps y in its training cache
+        out[..., self.in_channels:] += self.bn2.forward(self.conv2.forward(y, mode), mode)
         return out
 
     def backward(self, dy):
-        g = self.growth
-        c = self.in_channels
-        ddelta = dy[..., -g:]
-        dyy = dy + self.sign2.backward(self.conv2.backward(self.bn2.backward(ddelta)))
-        dnew = self.sign1.backward(self.conv1.backward(self.bn1.backward(dyy[..., c:])))
-        return dyy[..., :c] + dnew
+        ddelta = dy[..., self.in_channels:]
+        return super().backward(dy + self.conv2.backward(self.bn2.backward(ddelta)))
 
 
-def _make_block(family, cin, width, rng):
-    if family == "quicknet":
-        return QuickBlock(cin, width, rng)
-    if family == "birealnet":
-        return BirealBlock(cin, width, rng)
-    if family == "binarydensenet":
-        return DenseBlock(cin, width, rng)
-    return MeliusBlock(cin, width, rng)
+BLOCK_TYPES = {"quicknet": QuickBlock, "birealnet": BirealBlock,
+               "binarydensenet": DenseBlock, "meliusnet": MeliusBlock}
+FAMILIES = tuple(BLOCK_TYPES)
 
 
 # --- model --------------------------------------------------------------------
@@ -278,7 +241,7 @@ class Model:
                 if stage > 0 and j == 0:
                     self.pool_before.add(idx)
                     h, w = math.ceil(h / 2), math.ceil(w / 2)
-                blk = _make_block(spec.family, c, width, rng)
+                blk = BLOCK_TYPES[spec.family](c, width, rng)
                 self.blocks.append(blk)
                 self.block_macs.append(blk.conv_macs(h, w))
                 self.block_hw.append((h, w))

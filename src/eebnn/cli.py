@@ -214,27 +214,13 @@ def _cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     meta = {"train": rc["resolved"]["train"], "epochs_run": len(history)}
     report = modelio.save_model(model, out, meta=meta)
-    _write_history_csv(history, out.parent / (out.name + ".history.csv"))
+    evaluation.write_history_csv(history, out.parent / (out.name + ".history.csv"))
     config.write_resolved(rc["resolved"], out)
     ratio = report["compression_ratio"]
     print(f"saved {out} ({report['file_bytes']} bytes; binary blobs "
           f"{report['binary_blob_bytes']} vs {report['binary_as_float_bytes']} as float32"
           + (f", ratio {ratio:.4f}" if ratio else ""))
     return 0
-
-
-def _write_history_csv(history, path):
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        head = ["epoch", "loss"]
-        head += [f"exit_loss{e}" for e in range(1, arch.N_EXITS + 1)]
-        head += [f"train_acc{e}" for e in range(1, arch.N_EXITS + 1)]
-        head += [f"test_acc{e}" for e in range(1, arch.N_EXITS + 1)]
-        w.writerow(head)
-        for r in history:
-            w.writerow([r["epoch"], r["loss"], *r["exit_losses"], *r["train_acc"], *r["test_acc"]])
 
 
 def _cmd_eval(args) -> int:

@@ -9,6 +9,8 @@ re-running inference. CSV headers are fixed:
 * per-class: class,n,frac_exit1,...,frac_exit5,mean_exit
 * bench: exit,macs,median_ms,iqr_ms,repeats
 * curve: model,delta,mean_exit,accuracy,baseline_accuracy
+* history: epoch,loss,exit_loss1,...,exit_loss5,train_acc1,...,train_acc5,
+  test_acc1,...,test_acc5
 
 Host wall-clock numbers depend on the machine and the BLAS build; they are
 comparable across exits of one run, not across devices.
@@ -345,3 +347,14 @@ def write_curve_csv(points: list[dict], path) -> None:
         for p in points:
             w.writerow([p["model"], p["delta"], p["mean_exit"], p["accuracy"],
                         p["baseline_accuracy"]])
+
+
+def write_history_csv(history: list[dict], path) -> None:
+    """One row per training epoch of `training.train_loop`'s history."""
+    exits = range(1, arch.N_EXITS + 1)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["epoch", "loss", *(f"{col}{e}" for col in ("exit_loss", "train_acc", "test_acc")
+                                       for e in exits)])
+        for r in history:
+            w.writerow([r["epoch"], r["loss"], *r["exit_losses"], *r["train_acc"], *r["test_acc"]])

@@ -16,12 +16,13 @@ everything downstream sees the same numbers as a float64 GEMM would give.
 The packed kernels stay as the storage format and as the test oracle for
 this forward.
 
-Binarisation runs in one of two modes:
+Each binary layer (`BinConv2d`, `ExitHead`) binarises its own input and
+its own latent weights, in one of two modes:
 
 * sign mode (the real thing, used for training and inference), which
-  yields float32 ±1 and whose backward applies the straight-through rule:
-  gradients pass where the pre-binarisation value lies in [-1, 1] and are
-  zeroed outside;
+  yields float32 ±1 and whose backward applies the straight-through rule
+  to input and weights alike: gradients pass where the pre-binarisation
+  value lies in [-1, 1] and are zeroed outside;
 * surrogate mode, where sign is replaced by the float64 clipped identity so
   the whole network becomes an ordinary differentiable function. The
   backward code is identical in both modes; surrogate mode exists so that
@@ -189,11 +190,12 @@ class RealConv2d(Layer):
 
 
 class BinConv2d(Layer):
-    """Convolution with binarized weights; expects pre-binarized input.
+    """Binary convolution: binarises its input and its weights, then convolves.
 
     The latent float weights are what the optimizer sees; the effective
-    weights are their sign (or clipped value in surrogate mode). "Same"
-    padding uses -1, the encoding of an absent ±1 signal.
+    weights are their sign (or clipped value in surrogate mode), and so is
+    the effective input. "Same" padding uses -1, the encoding of an absent
+    ±1 signal. The backward applies the straight-through rule to both.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
@@ -209,32 +211,19 @@ class BinConv2d(Layer):
         return {"latent"}
 
     def forward(self, x, mode: Mode):
-        w_eff = binarized(self.latent, mode.surrogate)
-        y, conv_cache = _conv_forward(x, w_eff, self.geom, -1.0)
         if mode.train:
-            self._cache = conv_cache
+            self._cache = None  # frees the previous step's input and columns before this step makes its own
+        xb = binarized(x, mode.surrogate)
+        y, conv_cache = _conv_forward(xb, binarized(self.latent, mode.surrogate), self.geom, -1.0)
+        if mode.train:
+            self._cache = (x, conv_cache)
         return y
 
     def backward(self, dy):
-        dx, dw_eff = _conv_backward(dy, self._cache)
+        x, conv_cache = self._cache
+        dx, dw_eff = _conv_backward(dy, conv_cache)
         self._accumulate("latent", dw_eff * ste_mask(self.latent))
-        return dx
-
-
-class Binarize(Layer):
-    """Activation binarisation with the straight-through backward."""
-
-    def __init__(self):
-        super().__init__()
-        self._cache = None
-
-    def forward(self, x, mode: Mode):
-        if mode.train:
-            self._cache = x
-        return binarized(x, mode.surrogate)
-
-    def backward(self, dy):
-        return dy * ste_mask(self._cache)
+        return dx * ste_mask(x)
 
 
 class BatchNorm(Layer):

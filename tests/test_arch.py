@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from eebnn import arch, bitops, layers, runtime
+from eebnn import arch, bitops, layers, runtime, training
 from eebnn.arch import ArchSpec, build, toy_spec
 
 MICRO_SHAPE = (12, 10, 1)
@@ -123,11 +123,11 @@ def test_prefix_matches_full_pass(family, monkeypatch):
                         lambda head, x: read.append((head, exit_distribution(head, x))) or read[-1][1])
     for k in range(1, 6):
         dist = outputs[k - 1][0]
-        rec = runtime.infer_fixed_exit(model, feat, k)
+        rec = runtime.infer_fixed_exit(model, feat, k, label=7)
         # head k alone was read, on the same activation as in the full pass
         assert len(read) == k and read[-1][0] is model.exits[k - 1]
         np.testing.assert_array_equal(read[-1][1], dist)
-        assert rec.exit_index == k and rec.prediction == int(np.argmax(dist))
+        assert rec.exit_index == k and rec.prediction == int(np.argmax(dist)) and rec.label == 7
         assert rec.confidence == runtime.entropy(dist) and rec.trail == (rec.confidence,)
         # standalone cost: stem, blocks up to the placement, head k alone
         standalone = (model.stem_macs + sum(model.block_macs[: model.placements[k - 1]])
@@ -142,6 +142,45 @@ def test_prefix_matches_full_pass(family, monkeypatch):
     for k in (0, 6):
         with pytest.raises(ValueError, match="out of range"):
             runtime.infer_fixed_exit(model, feat, k)
+
+
+@pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
+def test_backward_matches_finite_difference(family):
+    """Every family's backward, surrogate mode: the shortcut tiling on the 4 -> 6
+    width change, the dense concat split and the improvement conv included."""
+    model = build(micro_spec(family), seed=11)
+    rng = np.random.default_rng(23)
+    xb = rng.uniform(-1.0, 1.0, (2, *MICRO_SHAPE))
+    labels = np.array([0, 2])
+    mode = layers.Mode(train=True, surrogate=True)
+
+    def losses():
+        return training._batch_losses(model.forward_train(xb, mode), labels, (1.0,) * 5)
+
+    model.zero_grads()
+    model.backward_train(losses()[2])
+
+    worst = 0.0
+    for _, lay, pname, arr, is_bin in model.named_params():
+        flat = arr.reshape(-1)
+        # a latent stepped across +-1 would leave the clip's linear range; a
+        # real parameter gets criterion 4's small step, as a larger one moves
+        # some clipped activation across +-1
+        h = 1e-3 if is_bin else 1e-5
+        eligible = np.flatnonzero(np.abs(flat) < 0.95) if is_bin else np.arange(flat.size)
+        for i in rng.choice(eligible, size=min(3, eligible.size), replace=False):
+            orig = flat[i]
+            flat[i] = np.float32(float(orig) + h)
+            up = float(flat[i]) - float(orig)
+            lp = losses()[0]
+            flat[i] = np.float32(float(orig) - h)
+            dn = float(orig) - float(flat[i])
+            lm = losses()[0]
+            flat[i] = orig
+            fd = (lp - lm) / (up + dn)
+            g = lay.grads[pname].reshape(-1)[i]
+            worst = max(worst, abs(fd - g) / max(abs(fd), abs(g), 1e-6))
+    assert worst < 1e-4
 
 
 def test_total_macs_decomposition():

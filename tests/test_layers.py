@@ -141,14 +141,22 @@ def test_exit_head_float_and_bit_routes_match():
     assert head.macs == 66 * 6
 
 
-def test_binarize_backward_zero_outside_unit_interval():
+def test_bin_conv_binarizes_its_input_with_the_straight_through_backward():
     rng = np.random.default_rng(5)
-    b = layers.Binarize()
+    conv = layers.BinConv2d(2, 3, 3, 1, "same", rng)
     x = rng.standard_normal((3, 4, 4, 2)) * 2.0
-    b.forward(x, TRAIN)
-    dx = b.backward(np.ones_like(x))
-    assert np.all(dx[np.abs(x) > 1.0] == 0.0)
-    assert np.all(dx[np.abs(x) <= 1.0] == 1.0)
+    xb = layers.binarized(x, surrogate=False)
+    np.testing.assert_array_equal(conv.forward(x, EVAL), conv.forward(xb, EVAL))
+
+    y = conv.forward(x, TRAIN)
+    dy = rng.standard_normal(y.shape)
+    dx = conv.backward(dy)
+    wb = layers.binarized(conv.latent, surrogate=False)
+    dx_conv, _ = layers._conv_backward(dy, layers._conv_forward(xb, wb, conv.geom, -1.0)[1])
+    outside = np.abs(x) > 1.0
+    assert outside.any() and (~outside).any()
+    assert np.all(dx[outside] == 0.0)
+    np.testing.assert_array_equal(dx[~outside], dx_conv[~outside])
 
 
 def test_batchnorm_train_normalizes_and_tracks_running_stats():

@@ -116,19 +116,6 @@ def test_early_exit_prediction_matches_chosen_head(trained_model, feature_bank, 
     assert rec.confidence == pytest.approx(entropy(dist), rel=1e-12)
 
 
-def test_fixed_exit_matches_full_pass(trained_model, feature_bank, test_indices):
-    feat = feature_bank.eval_feature(test_indices[3])
-    probs = [d for d, _, _ in runtime.exit_outputs(trained_model, feat)]
-    for k in range(1, 6):
-        rec = infer_fixed_exit(trained_model, feat, k, label=7)
-        assert rec.exit_index == k
-        assert rec.prediction == int(np.argmax(probs[k - 1]))
-        assert rec.macs == trained_model.exit_costs[k - 1]
-        assert rec.label == 7
-    with pytest.raises(ValueError, match="out of range"):
-        infer_fixed_exit(trained_model, feat, 0)
-
-
 def test_softmax_confidence_rule_runs(trained_model, feature_bank, test_indices):
     rule = DecisionRule(kind="softmax-confidence", threshold=0.9, temperature=1.0)
     rec = infer_early_exit(trained_model, feature_bank.eval_feature(test_indices[4]), rule)
