@@ -202,10 +202,11 @@ def _cmd_train(args) -> int:
         raise UsageError("no architecture given; pass --family/--widths/--blocks or a config file")
     tc = rc["train"]
     model = arch.build(spec, seed=tc.seed)
+    bank = data.FeatureBank(ds, rc["frontend"], n_frames=spec.input_shape[0])
     print(f"built {evaluation.model_id(model)}: {model.param_count()} params, "
           f"{model.total_macs} MACs full pass", flush=True)
     history = training.train_loop(
-        model, ds, tc, fe_cfg=rc["frontend"],
+        model, ds, tc, bank,
         progress=lambda r: print(
             f"epoch {r['epoch']:3d}  loss {r['loss']:.4f}  "
             f"test_acc {' '.join(f'{a:.3f}' for a in r['test_acc'])}", flush=True),
@@ -232,27 +233,16 @@ def _cmd_eval(args) -> int:
     ds = _dataset(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
-    bank, test_idx = evaluation.held_out_features(model, ds, bank)
-
-    def infer(i):
-        feat, label = bank.eval_feature(i), ds.samples[i].label
-        if args.fixed_exit is None:
-            return runtime.infer_early_exit(model, feat, rule, label=label)
-        return runtime.infer_fixed_exit(model, feat, args.fixed_exit, label=label)
-
-    records = tuple(infer(i) for i in test_idx)
+    records = evaluation.held_out_records(model, ds, rule, args.fixed_exit, bank)
     row = evaluation.row_from_records(rule.threshold, records)
     print(f"samples {len(records)}  accuracy {row.accuracy:.4f}  mean_exit {row.mean_exit:.3f}  "
           f"mean_macs {row.mean_macs:.0f}")
     if args.records:
         rec_path = Path(args.records)
         rec_path.parent.mkdir(parents=True, exist_ok=True)
-        sw = evaluation.SweepResult(
-            model_id=evaluation.model_id(model), dataset_id=ds.name,
-            rule_kind=("fixed" if args.fixed_exit is not None else rule.kind),
-            rows=(row,), records={rule.threshold: records}, baseline_accuracy=float("nan"),
-        )
-        evaluation.write_records_jsonl(sw, rec_path)
+        evaluation.write_records_jsonl(
+            rec_path, {rule.threshold: records}, model=evaluation.model_id(model),
+            dataset=ds.name, rule=("fixed" if args.fixed_exit is not None else rule.kind))
         config.write_resolved(rc["resolved"], rec_path)
         print(f"wrote {rec_path}")
     return 0
@@ -269,7 +259,8 @@ def _cmd_sweep(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_sweep_csv(sw, out)
     jsonl = out.parent / (out.stem + ".records.jsonl")
-    evaluation.write_records_jsonl(sw, jsonl)
+    evaluation.write_records_jsonl(jsonl, sw.records, model=sw.model_id, dataset=sw.dataset_id,
+                                   rule=sw.rule_kind)
     curve = out.parent / (out.stem + ".curve.csv")
     evaluation.write_curve_csv(evaluation.accuracy_vs_avg_exit(sw), curve)
     config.write_resolved(rc["resolved"], out)
@@ -287,8 +278,8 @@ def _cmd_per_class(args) -> int:
     ds = _dataset(args, rc)
     bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
     rule = rc["rule"]
-    stats = evaluation.per_class_exits(model, ds, rule.threshold, rule.kind, rule.temperature,
-                                       bank=bank)
+    records = evaluation.held_out_records(model, ds, rule, bank=bank)
+    stats = evaluation.per_class_exits(records, ds.n_classes, rule.threshold)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_per_class_csv(stats, out)
@@ -332,7 +323,7 @@ def _cmd_features(args) -> int:
     rc = config.resolve({**_merged(args), "data": None})  # reads no dataset
     pcm, rate = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
     with _clip_errors(args.wav):
-        feat = frontend.featurize(pcm, rc["frontend"], mode="eval")
+        feat = frontend.featurize(pcm, rc["frontend"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     np.save(out, feat.data)

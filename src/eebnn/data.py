@@ -1,4 +1,4 @@
-"""Synthetic audio corpus, WAV manifests, and feature caching.
+"""Synthetic audio corpus, WAV manifests, and the feature bank that fits clips to a model.
 
 The synthetic generator produces one-second 16 kHz clips. Each class owns a
 (signature kind, base frequency) pair; kinds cycle through six waveform
@@ -31,6 +31,7 @@ BASE_FREQ_HZ = 350.0
 FREQ_STEP = 1.45
 SNR_DB = {"easy": 20.0, "hard": -3.0}
 CLIP_SECONDS = 1.0
+SAMPLE_RATE = 16000  # synthetic clips and the WAVs write_manifest saves
 
 
 def class_signature(label: int) -> tuple[str, float]:
@@ -119,15 +120,14 @@ def _tier_counts(per_class: int, difficulty_mix) -> dict[str, int]:
     return {t: c for t, c in counts.items() if c > 0}
 
 
-def synth_dataset(n_classes: int, per_class: int, difficulty_mix="mixed", seed: int = 0,
-                  rate: int = 16000) -> Dataset:
+def synth_dataset(n_classes: int, per_class: int, difficulty_mix="mixed", seed: int = 0) -> Dataset:
     """Balanced synthetic dataset, split 80/20 per class and tier."""
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("need at least 1 sample per class")
     rng = np.random.default_rng(seed)
-    n = int(round(CLIP_SECONDS * rate))
+    n = int(round(CLIP_SECONDS * SAMPLE_RATE))
     counts = _tier_counts(per_class, difficulty_mix)
     samples = []
     for label in range(n_classes):
@@ -135,7 +135,7 @@ def synth_dataset(n_classes: int, per_class: int, difficulty_mix="mixed", seed: 
         for tier, count in counts.items():
             n_test = count - int(round(count * 0.8))
             for i in range(count):
-                sig = _signature_wave(kind, f0, n, rate, rng)
+                sig = _signature_wave(kind, f0, n, SAMPLE_RATE, rng)
                 pcm = _with_noise(sig, SNR_DB[tier], rng)
                 split = "train" if i < count - n_test else "test"
                 samples.append(Sample(pcm=pcm, label=label, split=split, tier=tier))
@@ -153,7 +153,7 @@ def write_manifest(dataset: Dataset, out_dir) -> Path:
     for i, s in enumerate(dataset.samples):
         tier = s.tier or "clip"
         rel = f"wavs/{s.label:02d}_{tier}_{i:05d}.wav"
-        frontend.write_wav(out / rel, s.pcm, 16000)
+        frontend.write_wav(out / rel, s.pcm, SAMPLE_RATE)
         rows.append((rel, s.label, s.split))
     manifest = out / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
@@ -163,7 +163,7 @@ def write_manifest(dataset: Dataset, out_dir) -> Path:
     return manifest
 
 
-def load_manifest(manifest_path, expected_rate: int = 16000) -> Dataset:
+def load_manifest(manifest_path, expected_rate: int = SAMPLE_RATE) -> Dataset:
     """Read a `path,label,split` CSV; WAV paths are relative to the CSV."""
     manifest = Path(manifest_path)
     if not manifest.is_file():
@@ -215,47 +215,42 @@ def fit_frames(feat: np.ndarray, n_frames: int, log_floor: float = 1e-6) -> np.n
 
 
 class FeatureBank:
-    """Per-sample feature cache for a fixed front-end configuration.
+    """The one place a clip is fitted to a model's n_frames input frames.
 
-    Evaluation features (whole clip) are computed once. Training features use
-    a random one-second crop; for clips at most one second long the crop is
-    deterministic, so the cached copy is reused.
+    Whole-clip features are computed once per sample and cached. Evaluation
+    center-crops or pads them (`fit_frames`). Training takes a random
+    n_frames window from a clip with more frames, and otherwise uses the
+    evaluation feature, so a short clip is padded the same way in both.
     """
 
-    def __init__(self, dataset: Dataset, cfg: frontend.FrontendConfig | None = None,
-                 n_frames: int | None = None):
+    def __init__(self, dataset: Dataset, cfg: frontend.FrontendConfig | None = None, *,
+                 n_frames: int):
         self.cfg = cfg or frontend.FrontendConfig()
         self.dataset = dataset
         self.n_frames = n_frames
-        self._eval: dict[int, np.ndarray] = {}
-        self._train: dict[int, np.ndarray] = {}
-        self._crop_samples = int(round(CLIP_SECONDS * self.cfg.sample_rate))
+        self._clips: dict[int, np.ndarray] = {}
 
-    def _featurize(self, i: int, mode: str, rng=None) -> np.ndarray:
-        """Front-end features of sample i, fitted to n_frames.
-
-        A clip the front-end rejects raises DataError naming its file.
-        """
-        s = self.dataset.samples[i]
-        try:
-            feat = frontend.featurize(s.pcm, self.cfg, mode=mode, rng=rng).data.astype(np.float64)
-        except ValueError as e:
-            raise DataError(f"{s.path or f'sample {i}'}: {e}") from e
-        if self.n_frames is None:
-            return feat
-        return fit_frames(feat, self.n_frames, self.cfg.log_floor)
+    def _clip(self, i: int) -> np.ndarray:
+        """Whole-clip features of sample i; a clip the front-end rejects
+        raises DataError naming its file."""
+        if i not in self._clips:
+            s = self.dataset.samples[i]
+            try:
+                self._clips[i] = frontend.featurize(s.pcm, self.cfg).data.astype(np.float64)
+            except ValueError as e:
+                raise DataError(f"{s.path or f'sample {i}'}: {e}") from e
+        return self._clips[i]
 
     def eval_feature(self, i: int) -> np.ndarray:
-        if i not in self._eval:
-            self._eval[i] = self._featurize(i, "eval")
-        return self._eval[i]
+        return fit_frames(self._clip(i), self.n_frames, self.cfg.log_floor)
 
     def train_feature(self, i: int, rng) -> np.ndarray:
-        if len(self.dataset.samples[i].pcm) <= self._crop_samples:  # crop position is forced, cacheable
-            if i not in self._train:
-                self._train[i] = self._featurize(i, "train")
-            return self._train[i]
-        return self._featurize(i, "train", rng)
+        feat = self._clip(i)
+        spare = feat.shape[0] - self.n_frames
+        if spare <= 0:
+            return self.eval_feature(i)
+        start = int(rng.integers(0, spare + 1))
+        return feat[start : start + self.n_frames]
 
     def train_batch(self, indices, rng) -> np.ndarray:
         feats = [self.train_feature(int(i), rng) for i in indices]

@@ -99,6 +99,25 @@ def held_out_features(model, dataset, bank=None):
     return bank, idx
 
 
+def held_out_records(model: arch.Model, dataset: data.Dataset, rule: runtime.DecisionRule,
+                     fixed_exit: int | None = None,
+                     bank: data.FeatureBank | None = None) -> tuple[runtime.ExitRecord, ...]:
+    """One record per test clip, in order.
+
+    Each clip runs `runtime.infer_early_exit`, so its pass stops at the exit
+    the rule chooses, or `runtime.infer_fixed_exit` when `fixed_exit` is given.
+    """
+    bank, idx = held_out_features(model, dataset, bank)
+
+    def infer(i):
+        feat, label = bank.eval_feature(i), dataset.samples[i].label
+        if fixed_exit is None:
+            return runtime.infer_early_exit(model, feat, rule, label=label)
+        return runtime.infer_fixed_exit(model, feat, fixed_exit, label=label)
+
+    return tuple(infer(i) for i in idx)
+
+
 def sweep(model: arch.Model, dataset: data.Dataset, deltas=DEFAULT_DELTAS,
           rule_kind: str = "entropy", temperature: float = 1.0,
           bank: data.FeatureBank | None = None) -> SweepResult:
@@ -165,24 +184,13 @@ class PerClassExitStats:
         return float(np.sum(row * np.arange(1, arch.N_EXITS + 1)))
 
 
-def per_class_exits(model: arch.Model, dataset: data.Dataset, delta: float,
-                    rule_kind: str = "entropy", temperature: float = 1.0,
-                    bank: data.FeatureBank | None = None,
-                    records=None) -> PerClassExitStats:
-    """Exit histogram per class at one threshold.
+def per_class_exits(records, n_classes: int, delta: float) -> PerClassExitStats:
+    """Exit histogram per class from one threshold's records.
 
-    Classes absent from the test split get NaN rows and are listed in
+    Classes absent from the records get NaN rows and are listed in
     empty_classes rather than being invented.
     """
-    if records is None:
-        bank, idx = held_out_features(model, dataset, bank)
-        rule = runtime.DecisionRule(kind=rule_kind, threshold=delta, temperature=temperature)
-        records = [
-            runtime.infer_early_exit(model, bank.eval_feature(i), rule,
-                                     label=dataset.samples[i].label)
-            for i in idx
-        ]
-    counts = np.zeros((dataset.n_classes, arch.N_EXITS), dtype=int)
+    counts = np.zeros((n_classes, arch.N_EXITS), dtype=int)
     for r in records:
         counts[r.label, r.exit_index - 1] += 1
     totals = counts.sum(axis=1)
@@ -214,7 +222,7 @@ def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
     def run(exit_index):
         t0 = time.perf_counter()
         if include_frontend:
-            feat = frontend.featurize(signal, fe_cfg, mode="eval").data.astype(np.float64)
+            feat = frontend.featurize(signal, fe_cfg).data.astype(np.float64)
             feat = data.fit_frames(feat, model.spec.input_shape[0], fe_cfg.log_floor)
         else:
             feat = signal
@@ -289,17 +297,17 @@ def write_sweep_csv(sw: SweepResult, path) -> None:
             )
 
 
-def write_records_jsonl(sw: SweepResult, path) -> None:
-    """One JSON object per (threshold, sample) inference."""
+def write_records_jsonl(path, records_by_delta, *, model: str, dataset: str, rule: str) -> None:
+    """One JSON object per (threshold, sample) inference, led by the three tags."""
     with open(path, "w") as fh:
-        for d in sorted(sw.records):
-            for i, r in enumerate(sw.records[d]):
+        for d in sorted(records_by_delta):
+            for i, r in enumerate(records_by_delta[d]):
                 fh.write(
                     json.dumps(
                         {
-                            "model": sw.model_id,
-                            "dataset": sw.dataset_id,
-                            "rule": sw.rule_kind,
+                            "model": model,
+                            "dataset": dataset,
+                            "rule": rule,
                             "delta": d,
                             "sample": i,
                             "label": r.label,

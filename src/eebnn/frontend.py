@@ -2,8 +2,9 @@
 
 Defaults: 25 ms Hann window, 10 ms hop, 512-point FFT, 64 triangular mel
 filters between 60 and 7800 Hz (HTK mel scale, 2595*log10(1 + f/700)), and
-log(x + 1e-6) compression. A one-second clip at the defaults produces a
-(98, 64) feature.
+log(x + 1e-6) compression. The front-end is a pure whole-clip transform: a
+one-second clip at the defaults produces a (98, 64) feature, a longer clip
+more frames. `data.FeatureBank` fits clips of any length to a model.
 """
 
 from __future__ import annotations
@@ -129,33 +130,11 @@ def mel_project_log(spec: np.ndarray, cfg: FrontendConfig, duration_ms: float) -
     return MelFeature(data=data, duration_ms=float(duration_ms))
 
 
-def featurize(
-    pcm: np.ndarray,
-    cfg: FrontendConfig = FrontendConfig(),
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> MelFeature:
-    """Full front-end: framing, power spectrum, mel projection, log.
-
-    Training mode takes a random one-second crop (clips shorter than one
-    second are zero-padded at the end); evaluation mode uses the whole clip.
-    """
-    pcm = np.asarray(pcm, dtype=np.float64)
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    duration_ms = 1000.0 * len(pcm) / cfg.sample_rate
-    if mode == "train":
-        crop = cfg.sample_rate
-        if len(pcm) < crop:
-            pcm = np.concatenate([pcm, np.zeros(crop - len(pcm))])
-        else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            offset = int(rng.integers(0, len(pcm) - crop + 1))
-            pcm = pcm[offset : offset + crop]
-    frames = frame_and_window(pcm, cfg)
-    spec = power_spectrum(frames, cfg)
-    return mel_project_log(spec, cfg, duration_ms)
+def featurize(pcm: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> MelFeature:
+    """Full front-end over the whole clip: framing, power spectrum, mel
+    projection, log. Fitting the frames to a model is `data.FeatureBank`'s job."""
+    spec = power_spectrum(frame_and_window(pcm, cfg), cfg)
+    return mel_project_log(spec, cfg, 1000.0 * len(pcm) / cfg.sample_rate)
 
 
 def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arch, data, frontend, layers
+from . import arch, data, layers
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
@@ -194,16 +194,15 @@ def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels) 
 
 
 def train_loop(model: arch.Model, dataset: data.Dataset, cfg: TrainConfig,
-               fe_cfg: frontend.FrontendConfig | None = None,
-               bank: data.FeatureBank | None = None,
-               progress=None) -> list[dict]:
+               bank: data.FeatureBank | None = None, progress=None) -> list[dict]:
     """Train in place; returns one history record per epoch.
 
     Each record holds the epoch's mean joint loss, the per-exit loss split,
-    and per-exit train/test accuracies measured after the epoch.
+    and per-exit train/test accuracies measured after the epoch. Features
+    come from `bank`, by default the default front-end's.
     """
     if bank is None:
-        bank = data.FeatureBank(dataset, fe_cfg, n_frames=model.spec.input_shape[0])
+        bank = data.FeatureBank(dataset, n_frames=model.spec.input_shape[0])
     train_idx = [i for i, s in enumerate(dataset.samples) if s.split == "train"]
     test_idx = [i for i, s in enumerate(dataset.samples) if s.split == "test"]
     if cfg.epochs > 0 and not train_idx:

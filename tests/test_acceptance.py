@@ -82,7 +82,7 @@ def test_criterion_2_frontend_contract():
     cfg = frontend.FrontendConfig()
     rng = np.random.default_rng(7)
     pcm = rng.uniform(-0.5, 0.5, 16000).astype(np.float32)
-    feat = frontend.featurize(pcm, cfg, mode="eval").data
+    feat = frontend.featurize(pcm, cfg).data
     shape_ok = feat.shape == (98, 64)
 
     frames = frontend.frame_and_window(pcm.astype(np.float64), cfg)

@@ -149,6 +149,28 @@ def test_feature_bank_caches_and_shapes(easy_dataset):
     assert tb.shape == (2, 98, 64, 1)
 
 
+def test_feature_bank_short_clip_trains_as_evaluated():
+    pcm = np.random.default_rng(8).uniform(-0.5, 0.5, 8000).astype(np.float32)  # 0.5 s
+    bank = FeatureBank(Dataset((Sample(pcm=pcm, label=0, split="train"),), n_classes=1),
+                       n_frames=98)
+    ev = bank.eval_feature(0)
+    assert ev.shape == (98, 64)
+    assert ev[0, 0] == np.log(frontend.FrontendConfig().log_floor)  # padded with silence
+    np.testing.assert_array_equal(bank.train_feature(0, np.random.default_rng(0)), ev)
+
+
+def test_feature_bank_long_clip_window_deterministic():
+    pcm = np.random.default_rng(8).uniform(-0.5, 0.5, 24000).astype(np.float32)  # 1.5 s
+    bank = FeatureBank(Dataset((Sample(pcm=pcm, label=0, split="train"),), n_classes=1),
+                       n_frames=98)
+    a = bank.train_feature(0, np.random.default_rng(9))
+    assert a.shape == (98, 64)
+    np.testing.assert_array_equal(bank.train_feature(0, np.random.default_rng(9)), a)
+    whole = frontend.featurize(pcm).data
+    start = int(np.random.default_rng(9).integers(0, whole.shape[0] - 98 + 1))
+    np.testing.assert_array_equal(a, whole[start : start + 98])  # a window of the whole clip
+
+
 def test_feature_bank_random_crop_for_long_clips():
     long_pcm = np.random.default_rng(4).uniform(-0.5, 0.5, 24000).astype(np.float32)
     ds = Dataset((Sample(pcm=long_pcm, label=0, split="train"),

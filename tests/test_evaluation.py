@@ -98,7 +98,7 @@ def test_accuracy_vs_avg_exit_points(sw):
 
 def test_per_class_exits_from_records(sw, trained_model, easy_dataset):
     recs = sw.records[0.5]
-    stats = per_class_exits(trained_model, easy_dataset, 0.5, records=list(recs))
+    stats = per_class_exits(list(recs), easy_dataset.n_classes, 0.5)
     assert stats.counts.shape == (4, 5)
     assert stats.counts.sum() == len(recs)
     assert stats.empty_classes == ()
@@ -111,7 +111,7 @@ def test_per_class_exits_from_records(sw, trained_model, easy_dataset):
 
 def test_per_class_exits_missing_class(sw, trained_model, easy_dataset):
     recs = [r for r in sw.records[0.5] if r.label != 2]
-    stats = per_class_exits(trained_model, easy_dataset, 0.5, records=recs)
+    stats = per_class_exits(recs, easy_dataset.n_classes, 0.5)
     assert stats.empty_classes == (2,)
     assert np.isnan(stats.fractions[2]).all()
     assert math.isnan(stats.mean_exit(2))
@@ -166,7 +166,8 @@ def test_write_sweep_csv(sw, tmp_path):
 
 def test_records_jsonl_round_trip(sw, tmp_path):
     out = tmp_path / "records.jsonl"
-    write_records_jsonl(sw, out)
+    write_records_jsonl(out, sw.records, model=sw.model_id, dataset=sw.dataset_id,
+                        rule=sw.rule_kind)
     recs = read_records_jsonl(out)
     n_test = len(sw.records[0.1])
     assert len(recs) == 5 * n_test
@@ -185,8 +186,7 @@ def test_records_jsonl_round_trip(sw, tmp_path):
 
 
 def test_write_per_class_csv(sw, trained_model, easy_dataset, tmp_path):
-    stats = per_class_exits(trained_model, easy_dataset, 0.5,
-                            records=list(sw.records[0.5]))
+    stats = per_class_exits(list(sw.records[0.5]), easy_dataset.n_classes, 0.5)
     out = tmp_path / "per_class.csv"
     write_per_class_csv(stats, out)
     with open(out) as fh:

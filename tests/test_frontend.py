@@ -32,32 +32,14 @@ def test_frame_count_boundaries():
 
 
 def test_one_second_gives_98x64():
-    feat = frontend.featurize(tone(1000.0), CFG, mode="eval")
+    feat = frontend.featurize(tone(1000.0), CFG)
     assert feat.data.shape == (98, 64)
     assert feat.data.dtype == np.float32
 
 
 def test_two_second_eval_uses_whole_clip():
-    feat = frontend.featurize(tone(500.0, seconds=2.0), CFG, mode="eval")
+    feat = frontend.featurize(tone(500.0, seconds=2.0), CFG)
     assert feat.data.shape == (frontend.frame_count(32000, CFG), 64)
-
-
-def test_train_crop_is_one_second():
-    rng = np.random.default_rng(3)
-    feat = frontend.featurize(tone(500.0, seconds=2.0), CFG, mode="train", rng=rng)
-    assert feat.data.shape == (98, 64)
-
-
-def test_train_crop_deterministic_under_rng():
-    pcm = tone(700.0, seconds=1.5)
-    a = frontend.featurize(pcm, CFG, mode="train", rng=np.random.default_rng(9)).data
-    b = frontend.featurize(pcm, CFG, mode="train", rng=np.random.default_rng(9)).data
-    assert np.array_equal(a, b)
-
-
-def test_short_clip_zero_padded():
-    feat = frontend.featurize(tone(500.0, seconds=0.5), CFG, mode="train")
-    assert feat.data.shape == (98, 64)
 
 
 def test_1khz_peak_at_fft_bin_32():
@@ -112,20 +94,20 @@ def test_filterbank_shape_and_band_limits():
 def test_tone_lands_in_nearest_mel_filter():
     centers = frontend.filter_centers_hz(CFG)
     for freq in (350.0, 1000.0, 3000.0):
-        feat = frontend.featurize(tone(freq), CFG, mode="eval")
+        feat = frontend.featurize(tone(freq), CFG)
         hot = int(np.argmax(feat.data.mean(axis=0)))
         nearest = int(np.argmin(np.abs(centers - freq)))
         assert abs(hot - nearest) <= 1, (freq, hot, nearest)
 
 
 def test_log_floor_on_silence():
-    feat = frontend.featurize(np.zeros(16000), CFG, mode="eval")
+    feat = frontend.featurize(np.zeros(16000), CFG)
     assert np.allclose(feat.data, np.log(CFG.log_floor))
 
 
 def test_louder_is_larger():
-    quiet = frontend.featurize(tone(1000.0, amp=0.1), CFG, mode="eval").data
-    loud = frontend.featurize(tone(1000.0, amp=0.8), CFG, mode="eval").data
+    quiet = frontend.featurize(tone(1000.0, amp=0.1), CFG).data
+    loud = frontend.featurize(tone(1000.0, amp=0.8), CFG).data
     band = np.argmax(loud.mean(axis=0))
     assert loud[:, band].mean() > quiet[:, band].mean()
 

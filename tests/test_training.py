@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eebnn import arch, data, runtime, training
+from eebnn import arch, data, frontend, runtime, training
 from eebnn.training import (PROB_FLOOR, AdamState, BopState, Optimizer, TrainConfig,
                             TrainingDiverged, _batch_losses, step_adam, step_bop, train_loop)
 
@@ -205,3 +205,13 @@ def test_exit_accuracies_trained_model(trained_model, easy_dataset, feature_bank
     assert accs.shape == (5,)
     assert np.all((accs >= 0.0) & (accs <= 1.0))
     assert accs[-1] >= 0.9  # the fixture recipe reaches a confident final exit
+
+
+def test_train_loop_featurizes_each_clip_once(monkeypatch):
+    ds = data.synth_dataset(3, 10, seed=1)
+    calls = []
+    featurize = frontend.featurize
+    monkeypatch.setattr(frontend, "featurize", lambda pcm, cfg: calls.append(1) or featurize(pcm, cfg))
+    model = arch.build(arch.toy_spec("quicknet", n_classes=3), seed=0)
+    train_loop(model, ds, TrainConfig(optimizer="adam", epochs=1, batch_size=8))
+    assert len(calls) == len(ds.samples) == 30
