@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eebnn import frontend
+from eebnn.data import Dataset, FeatureBank, Sample
 
 
 CFG = frontend.FrontendConfig()
@@ -40,6 +41,24 @@ def test_one_second_gives_98x64():
 def test_two_second_eval_uses_whole_clip():
     feat = frontend.featurize(tone(500.0, seconds=2.0), CFG)
     assert feat.data.shape == (frontend.frame_count(32000, CFG), 64)
+
+
+def train_bank(pcm):
+    """A one-clip FeatureBank: the training crop of a featurized clip lives there."""
+    sample = Sample(pcm=pcm.astype(np.float32), label=0, split="train")
+    return FeatureBank(Dataset((sample,), n_classes=1), n_frames=98, cfg=CFG)
+
+
+def test_train_crop_is_one_second():
+    bank = train_bank(tone(500.0, seconds=2.0))
+    assert bank.train_feature(0, np.random.default_rng(3)).shape == (98, 64)
+
+
+def test_train_crop_deterministic_under_rng():
+    bank = train_bank(tone(700.0, seconds=1.5))
+    a = bank.train_feature(0, np.random.default_rng(9))
+    b = bank.train_feature(0, np.random.default_rng(9))
+    assert np.array_equal(a, b)
 
 
 def test_1khz_peak_at_fft_bin_32():
