@@ -1,8 +1,15 @@
 """Command-line surface.
 
 Subcommands: train, eval, sweep, per-class, bench, features, synth-data.
-Exit codes: 0 success, 1 usage error (bad flags/config), 2 data or model
-error (missing/corrupt files, training divergence).
+Exit codes: 0 success, 1 usage error (bad flags/config, including a
+synthetic run whose `frontend.sample_rate` is not the synthetic clips'
+rate), 2 data or model error (missing/corrupt files, training divergence,
+evaluating on more classes than the model predicts).
+
+A flag that sets a config value is declared with that value's path as its
+dest ("train.lr"), so `--help` shows the key as its metavar (a flag with
+fixed choices lists them instead) and `_merged` lays every given flag over
+the `--config` file in one pass.
 
 Every artifact-producing command writes its fully resolved configuration to
 `<artifact>.config.json` next to the main output; passed back as `--config`
@@ -56,10 +63,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", help="JSON config file; flags override it")
 
     def add_synth(sp, seed_flag):
-        sp.add_argument("--classes", type=int, help="synthetic class count")
-        sp.add_argument("--per-class", type=int, help="synthetic samples per class")
-        sp.add_argument("--difficulty", help="easy | hard | mixed")
-        sp.add_argument(seed_flag, dest="data_seed", type=int, help="synthetic generator seed")
+        sp.add_argument("--classes", dest="data.classes", type=int, help="synthetic class count")
+        sp.add_argument("--per-class", dest="data.per_class", type=int,
+                        help="synthetic samples per class")
+        sp.add_argument("--difficulty", dest="data.difficulty", help="easy | hard | mixed")
+        sp.add_argument(seed_flag, dest="data.seed", type=int, help="synthetic generator seed")
 
     def add_dataset(sp):
         g = sp.add_mutually_exclusive_group()
@@ -70,25 +78,26 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("train", help="train a model", add_help=True)
     add_common(sp)
     add_dataset(sp)
-    sp.add_argument("--seed", type=int, default=None, help="model init and shuffle seed")
-    sp.add_argument("--family", default=None, choices=arch.FAMILIES)
-    sp.add_argument("--widths", type=_csv_ints, default=None)
-    sp.add_argument("--blocks", type=_csv_ints, default=None)
-    sp.add_argument("--placements", type=_csv_ints, default=None)
-    sp.add_argument("--optimizer", default=None, choices=training.OPTIMIZERS)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--exit-weights", type=_csv_floats, default=None)
+    sp.add_argument("--seed", dest="train.seed", type=int, help="model init and shuffle seed")
+    sp.add_argument("--family", dest="arch.family", choices=arch.FAMILIES)
+    sp.add_argument("--widths", dest="arch.widths", type=_csv_ints)
+    sp.add_argument("--blocks", dest="arch.blocks", type=_csv_ints)
+    sp.add_argument("--placements", dest="arch.exit_placements", type=_csv_ints)
+    sp.add_argument("--optimizer", dest="train.optimizer", choices=training.OPTIMIZERS)
+    sp.add_argument("--lr", dest="train.lr", type=float)
+    sp.add_argument("--batch-size", dest="train.batch_size", type=int)
+    sp.add_argument("--epochs", dest="train.epochs", type=int)
+    sp.add_argument("--exit-weights", dest="train.exit_weights", type=_csv_floats)
     sp.add_argument("--out", required=True, help="output model file")
 
     sp = sub.add_parser("eval", help="evaluate a model")
     add_common(sp)
     add_dataset(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--delta", type=float, default=None, help="threshold of the configured rule")
-    sp.add_argument("--rule", default=None, choices=runtime.RULE_KINDS)
-    sp.add_argument("--temperature", type=float, default=None)
+    sp.add_argument("--delta", dest="rule.threshold", type=float,
+                    help="threshold of the configured rule")
+    sp.add_argument("--rule", dest="rule.kind", choices=runtime.RULE_KINDS)
+    sp.add_argument("--temperature", dest="rule.temperature", type=float)
     sp.add_argument("--fixed-exit", type=int, default=None, help="bypass the rule, exit here")
     sp.add_argument("--records", default=None, help="write per-sample JSONL here")
 
@@ -96,14 +105,14 @@ def _build_parser() -> _Parser:
     add_common(sp)
     add_dataset(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--deltas", type=_csv_floats, default=None)
+    sp.add_argument("--deltas", dest="sweep.deltas", type=_csv_floats)
     sp.add_argument("--out", required=True, help="output CSV; JSONL written alongside")
 
     sp = sub.add_parser("per-class", help="per-class exit histogram")
     add_common(sp)
     add_dataset(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", dest="rule.threshold", type=float)
     sp.add_argument("--out", required=True, help="output CSV")
 
     sp = sub.add_parser("bench", help="per-exit latency micro-benchmark")
@@ -126,28 +135,26 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _merged(args, **flags) -> dict:
-    """The --config file with every given flag on top."""
+def _merged(args) -> dict:
+    """The --config file with every given flag on top; a flag's dest is its config path.
+
+    `data` is null for a manifest run and a command that reads no dataset, and a
+    section for a synthetic run: --synth, a file with a `data` section, or synth-data.
+    """
     base = config.load_config_file(args.config) if args.config else {}
-    return config.merge(base, flags)
-
-
-def _synth(args, merged) -> dict:
-    """`merged` with a `data` section, the synthetic dataset flags on top of it."""
-    flags = {"classes": args.classes, "per_class": args.per_class,
-             "difficulty": args.difficulty, "seed": args.data_seed}
-    return config.merge({"data": {}, **merged}, {"data": flags})
-
-
-def _dataset_merged(args, **flags) -> dict:
-    """`_merged` for a command that reads a dataset: a manifest run has no `data`
-    section, a synthetic run (--synth, or a config file with one) always has one."""
-    merged = _merged(args, **flags)
-    if args.manifest:
-        return {**merged, "data": None}
-    if not (args.synth or "data" in merged):
+    flags = {}
+    for dest, value in vars(args).items():
+        if "." in dest:
+            section, key = dest.split(".")
+            flags.setdefault(section, {})[key] = value
+    merged = config.merge(base, flags)
+    if args.command in ("bench", "features") or getattr(args, "manifest", None):
+        merged["data"] = None
+    elif args.command == "synth-data" or args.synth or "data" in base:
+        merged.setdefault("data", {})
+    else:
         raise UsageError("provide --manifest or --synth")
-    return _synth(args, merged)
+    return merged
 
 
 def _dataset(args, rc) -> data.Dataset:
@@ -155,6 +162,22 @@ def _dataset(args, rc) -> data.Dataset:
     if d is None:
         return data.load_manifest(args.manifest, expected_rate=rc["frontend"].sample_rate)
     return data.synth_dataset(d["classes"], d["per_class"], d["difficulty"], seed=d["seed"])
+
+
+def _evaluated(args, rc) -> tuple[arch.Model, data.Dataset, data.FeatureBank]:
+    """The model, the dataset it is evaluated on, and their features at its frame count."""
+    model, _ = modelio.load_model(args.model)
+    ds = _dataset(args, rc)
+    if ds.n_classes > model.spec.n_classes:
+        raise data.DataError(f"{args.model} predicts {model.spec.n_classes} classes, "
+                             f"but the dataset has {ds.n_classes}")
+    return model, ds, data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
+
+
+def _out_path(path) -> Path:
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 @contextlib.contextmanager
@@ -166,36 +189,13 @@ def _clip_errors(path):
         raise data.DataError(f"{path}: {e}") from e
 
 
-def _load_model(path) -> arch.Model:
-    model, _ = modelio.load_model(path)
-    return model
-
-
 def _cmd_train(args) -> int:
-    arch_over = {
-        "family": args.family,
-        "widths": args.widths,
-        "blocks": args.blocks,
-        "exit_placements": args.placements,
-    }
-    train_over = {
-        "optimizer": args.optimizer,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "exit_weights": args.exit_weights,
-    }
-    merged = _dataset_merged(args, arch=arch_over, train=train_over)
+    merged = _merged(args)
     ds = _dataset(args, config.resolve({**merged, "arch": {}}))  # dataset first; it sets n_classes
     if merged.get("arch"):
-        claimed = merged["arch"].get("n_classes")
-        if claimed is None:
-            merged["arch"]["n_classes"] = ds.n_classes
-        elif claimed != ds.n_classes:
-            raise UsageError(
-                f"config says {claimed} classes but the dataset has {ds.n_classes}"
-            )
+        claimed = merged["arch"].setdefault("n_classes", ds.n_classes)
+        if claimed != ds.n_classes:
+            raise UsageError(f"config says {claimed} classes but the dataset has {ds.n_classes}")
     rc = config.resolve(merged)
     spec = rc["arch"]
     if spec is None:
@@ -211,8 +211,7 @@ def _cmd_train(args) -> int:
             f"epoch {r['epoch']:3d}  loss {r['loss']:.4f}  "
             f"test_acc {' '.join(f'{a:.3f}' for a in r['test_acc'])}", flush=True),
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     meta = {"train": rc["resolved"]["train"], "epochs_run": len(history)}
     report = modelio.save_model(model, out, meta=meta)
     evaluation.write_history_csv(history, out.parent / (out.name + ".history.csv"))
@@ -225,21 +224,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    rc = config.resolve(_dataset_merged(args, rule={
-        "kind": args.rule, "threshold": args.delta, "temperature": args.temperature}))
+    rc = config.resolve(_merged(args))
     if args.fixed_exit is not None and not 1 <= args.fixed_exit <= arch.N_EXITS:
         raise UsageError(f"--fixed-exit must be in 1..{arch.N_EXITS}")
-    model = _load_model(args.model)
-    ds = _dataset(args, rc)
-    bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
+    model, ds, bank = _evaluated(args, rc)
     rule = rc["rule"]
     records = evaluation.held_out_records(model, ds, rule, args.fixed_exit, bank)
     row = evaluation.row_from_records(rule.threshold, records)
     print(f"samples {len(records)}  accuracy {row.accuracy:.4f}  mean_exit {row.mean_exit:.3f}  "
           f"mean_macs {row.mean_macs:.0f}")
     if args.records:
-        rec_path = Path(args.records)
-        rec_path.parent.mkdir(parents=True, exist_ok=True)
+        rec_path = _out_path(args.records)
         evaluation.write_records_jsonl(
             rec_path, {rule.threshold: records}, model=evaluation.model_id(model),
             dataset=ds.name, rule=("fixed" if args.fixed_exit is not None else rule.kind))
@@ -249,14 +244,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rc = config.resolve(_dataset_merged(args, sweep={"deltas": args.deltas}))
-    model = _load_model(args.model)
-    ds = _dataset(args, rc)
-    bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
+    rc = config.resolve(_merged(args))
+    model, ds, bank = _evaluated(args, rc)
     rule = rc["rule"]
     sw = evaluation.sweep(model, ds, rc["deltas"], rule.kind, rule.temperature, bank=bank)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     evaluation.write_sweep_csv(sw, out)
     jsonl = out.parent / (out.stem + ".records.jsonl")
     evaluation.write_records_jsonl(jsonl, sw.records, model=sw.model_id, dataset=sw.dataset_id,
@@ -273,15 +265,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_per_class(args) -> int:
-    rc = config.resolve(_dataset_merged(args, rule={"threshold": args.delta}))
-    model = _load_model(args.model)
-    ds = _dataset(args, rc)
-    bank = data.FeatureBank(ds, rc["frontend"], n_frames=model.spec.input_shape[0])
+    rc = config.resolve(_merged(args))
+    model, ds, bank = _evaluated(args, rc)
     rule = rc["rule"]
     records = evaluation.held_out_records(model, ds, rule, bank=bank)
     stats = evaluation.per_class_exits(records, ds.n_classes, rule.threshold)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     evaluation.write_per_class_csv(stats, out)
     config.write_resolved(rc["resolved"], out)
     for c in range(stats.counts.shape[0]):
@@ -296,10 +285,10 @@ def _cmd_per_class(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rc = config.resolve({**_merged(args), "data": None})  # reads no dataset
+    rc = config.resolve(_merged(args))
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
-    model = _load_model(args.model)
+    model, _ = modelio.load_model(args.model)
     if args.wav:
         pcm, _ = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
     else:
@@ -311,8 +300,7 @@ def _cmd_bench(args) -> int:
     for r in table:
         print(f"{r['exit']:>4}  {r['macs']:<12}  {r['median_ms']:9.3f}  {r['iqr_ms']:6.3f}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        out = _out_path(args.out)
         evaluation.write_bench_csv(table, out)
         config.write_resolved(rc["resolved"], out)
         print(f"wrote {out}")
@@ -320,12 +308,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    rc = config.resolve({**_merged(args), "data": None})  # reads no dataset
+    rc = config.resolve(_merged(args))
     pcm, rate = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
     with _clip_errors(args.wav):
         feat = frontend.featurize(pcm, rc["frontend"])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     np.save(out, feat.data)
     config.write_resolved(rc["resolved"], out)
     print(f"{args.wav}: {len(pcm)} samples at {rate} Hz -> features {feat.data.shape} "
@@ -334,7 +321,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_synth_data(args) -> int:
-    rc = config.resolve(_synth(args, _merged(args)))
+    rc = config.resolve(_merged(args))
     ds = _dataset(args, rc)
     out = Path(args.out)
     manifest = data.write_manifest(ds, out)

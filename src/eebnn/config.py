@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 from . import arch, data, evaluation, frontend, runtime, training
@@ -21,19 +23,36 @@ class ConfigError(ValueError):
     """Malformed configuration file or overrides."""
 
 
-SECTIONS = ("arch", "frontend", "train", "rule", "sweep", "data")
+@dataclasses.dataclass(frozen=True)
+class SweepGrid:
+    """The thresholds `sweep` evaluates."""
 
-# the synthetic dataset a run uses unless --manifest names real clips
-DATA_DEFAULTS = {"classes": 6, "per_class": 20, "difficulty": "mixed", "seed": 0}
+    deltas: tuple[float, ...] = evaluation.DEFAULT_DELTAS
 
-_SECTION_FIELDS = {
-    "arch": {f.name for f in dataclasses.fields(arch.ArchSpec)},
-    "frontend": {f.name for f in dataclasses.fields(frontend.FrontendConfig)},
-    "train": {f.name for f in dataclasses.fields(training.TrainConfig)},
-    "rule": {f.name for f in dataclasses.fields(runtime.DecisionRule)},
-    "sweep": {"deltas"},
-    "data": set(DATA_DEFAULTS),
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+
+
+@dataclasses.dataclass(frozen=True)
+class SynthData:
+    """The synthetic dataset a run uses unless --manifest names real clips."""
+
+    classes: int = 6
+    per_class: int = 20
+    difficulty: str | dict[str, float] = "mixed"  # easy | hard | mixed, or tier weights
+    seed: int = 0
+
+
+# section name -> the dataclass it configures, one key per field
+SECTIONS = {
+    "arch": arch.ArchSpec,
+    "frontend": frontend.FrontendConfig,
+    "train": training.TrainConfig,
+    "rule": runtime.DecisionRule,
+    "sweep": SweepGrid,
+    "data": SynthData,
 }
+_SECTION_FIELDS = {name: {f.name for f in dataclasses.fields(cls)} for name, cls in SECTIONS.items()}
 
 
 def _check_keys(section: str, d: dict) -> dict:
@@ -78,6 +97,33 @@ def merge(base: dict, overrides: dict) -> dict:
     return out
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON or flag value has the annotated type; an int passes as a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build(section: str, kwargs: dict):
+    """The section's dataclass from its keys; a value it rejects is a ConfigError naming the section."""
+    cls = SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    for key, value in _check_keys(section, kwargs).items():
+        if not _fits(value, hints[key]):
+            expected = hints[key].__name__ if type(hints[key]) is type else hints[key]
+            raise ConfigError(f"{section} config: {key} must be {expected}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{section} config: {e}") from e
+
+
 def resolve(cfg: dict) -> dict:
     """Build typed objects from a merged config dict.
 
@@ -86,12 +132,7 @@ def resolve(cfg: dict) -> dict:
     "data": dict | None, "resolved": plain-dict snapshot}; `data` is None
     without a `data` section (a manifest run, or a command reading no dataset).
     """
-    fe_kwargs = _check_keys("frontend", cfg.get("frontend", {}))
-    try:
-        fe = frontend.FrontendConfig(**fe_kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"frontend config: {e}") from e
-
+    fe = _build("frontend", cfg.get("frontend", {}))
     arch_section = _check_keys("arch", cfg.get("arch", {}))
     spec = None
     if arch_section:
@@ -101,46 +142,18 @@ def resolve(cfg: dict) -> dict:
         missing = {"family", "widths", "blocks", "n_classes"} - set(arch_section)
         if missing:
             raise ConfigError(f"arch config missing {sorted(missing)}")
-        try:
-            spec = arch.ArchSpec(**arch_section)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"arch config: {e}") from e
-
-    train_kwargs = _check_keys("train", cfg.get("train", {}))
-    try:
-        tr = training.TrainConfig(**train_kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"train config: {e}") from e
-
-    rule_kwargs = _check_keys("rule", cfg.get("rule", {}))
-    try:
-        rule = runtime.DecisionRule(**rule_kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"rule config: {e}") from e
-
-    sweep_kwargs = _check_keys("sweep", cfg.get("sweep", {}))
-    deltas = tuple(float(d) for d in sweep_kwargs.get("deltas", evaluation.DEFAULT_DELTAS))
-
-    data_section = cfg.get("data")
-    data_kwargs = None if data_section is None else {**DATA_DEFAULTS, **_check_keys("data", data_section)}
-
-    resolved = {
-        "arch": dataclasses.asdict(spec) if spec else None,
-        "frontend": dataclasses.asdict(fe),
-        "train": dataclasses.asdict(tr),
-        "rule": dataclasses.asdict(rule),
-        "sweep": {"deltas": list(deltas)},
-        "data": data_kwargs,
-    }
-    return {
-        "arch": spec,
-        "frontend": fe,
-        "train": tr,
-        "rule": rule,
-        "deltas": deltas,
-        "data": data_kwargs,
-        "resolved": resolved,
-    }
+        spec = _build("arch", arch_section)
+    tr = _build("train", cfg.get("train", {}))
+    rule = _build("rule", cfg.get("rule", {}))
+    sweep = _build("sweep", cfg.get("sweep", {}))
+    synth = None if cfg.get("data") is None else _build("data", cfg["data"])
+    if synth is not None and fe.sample_rate != data.SAMPLE_RATE:
+        raise ConfigError(f"data config: synthetic clips are {data.SAMPLE_RATE} Hz, "
+                          f"but frontend.sample_rate is {fe.sample_rate}")
+    built = {"arch": spec, "frontend": fe, "train": tr, "rule": rule, "sweep": sweep, "data": synth}
+    resolved = {name: None if obj is None else dataclasses.asdict(obj) for name, obj in built.items()}
+    return {"arch": spec, "frontend": fe, "train": tr, "rule": rule, "deltas": sweep.deltas,
+            "data": resolved["data"], "resolved": resolved}
 
 
 def write_resolved(resolved: dict, artifact_path) -> Path:

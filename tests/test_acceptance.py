@@ -102,6 +102,7 @@ def test_criterion_2_frontend_contract():
             f"shape {feat.shape}, Parseval rel err {parseval_rel:.2e}, 1 kHz peak bin {peak_bin}")
 
 
+@pytest.mark.slow
 def test_criterion_3_threshold_boundaries(desk):
     samples = desk.test_idx[:200]
     force_last = runtime.DecisionRule("entropy", 0.0)
@@ -219,6 +220,7 @@ def test_criterion_5_bop_contract():
             f"{flips} flips, all exactly +-1: {exact}")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_early_exit(desk):
     base = desk.sweep.baseline_accuracy  # unconditional final exit = delta 0 predictions
     mid = desk.sweep.row(0.5)
@@ -238,6 +240,7 @@ def test_criterion_6_desk_scale_early_exit(desk):
             f"{desk.seconds:.0f}s < 600s: {in_time}")
 
 
+@pytest.mark.slow
 def test_criterion_7_cost_honesty(desk):
     model = desk.model
     full = runtime.DecisionRule("entropy", 0.0)
@@ -259,6 +262,7 @@ def test_criterion_7_cost_honesty(desk):
             f"bench medians {['%.2f' % m for m in medians]} ms non-decreasing: {non_decreasing}")
 
 
+@pytest.mark.slow
 def test_criterion_8_serialization(desk, tmp_path):
     path = tmp_path / "trained.eebnn"
     modelio.save_model(desk.model, path)

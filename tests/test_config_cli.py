@@ -1,5 +1,7 @@
 """Config plumbing and end-to-end CLI tests (in-process, tiny models)."""
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import eebnn
 from eebnn import arch, config, data, frontend, modelio, runtime
-from eebnn.cli import cli
+from eebnn.cli import _build_parser, cli
 from eebnn.evaluation import SWEEP_CSV_HEADER, read_records_jsonl
 
 # --- config ------------------------------------------------------------------
@@ -426,6 +428,114 @@ def test_config_file_unknown_key_exit_code(tmp_path, capsys):
                 "--epochs", "0", "--out", str(tmp_path / "x.eebnn")])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section", [
+    ("sweep", {"sweep": {"deltas": 0.5}}),
+    ("train", {"data": {"classes": "three"}}),
+    ("train", {"data": {"per_class": 2.5}}),
+    ("train", {"data": {"difficulty": 3}}),
+    ("train", {"data": {"seed": "x"}}),
+    ("train", {"train": {"seed": 1.5}}),
+    ("train", {"train": {"batch_size": 2.5}}),
+    ("train", {"arch": {"stem_channels": "x"}}),
+], ids=["sweep.deltas", "data.classes", "data.per_class", "data.difficulty", "data.seed",
+        "train.seed", "train.batch_size", "arch.stem_channels"])
+def test_wrong_typed_config_value_exit_code_one(cli_model, tmp_path, capsys, command, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    args = {"sweep": ["--model", str(cli_model), "--out", str(tmp_path / "s.csv")],
+            "train": ["--family", "quicknet", "--widths", "8,16", "--blocks", "3,3",
+                      "--epochs", "0", "--out", str(tmp_path / "m.eebnn")]}
+    assert cli([command, "--synth", "--config", str(cfg), *args[command]]) == 1
+    err = capsys.readouterr().err
+    [(name, values)] = section.items()
+    [key] = values
+    assert "config error" in err and f"{name} config: {key}" in err
+
+
+def test_synthetic_run_rejects_other_sample_rate(tmp_path, capsys):
+    """Synthetic clips are 16 kHz; a front-end set to another rate would misread them."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frontend": {"sample_rate": 8000, "fmax": 3900, "fft_size": 256}}))
+    assert cli(["train", "--config", str(cfg), *DATASET_ARGS, "--family", "quicknet",
+                "--widths", "8,16", "--blocks", "3,3", "--epochs", "0",
+                "--out", str(tmp_path / "m.eebnn")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "16000" in err and "8000" in err
+    assert not (tmp_path / "m.eebnn").exists()
+
+
+def test_eval_on_more_classes_than_the_model_exit_code_two(cli_model, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"classes": 4, "per_class": 5}}))
+    assert cli(["eval", "--config", str(cfg), "--model", str(cli_model)]) == 2
+    err = capsys.readouterr().err
+    assert str(cli_model) in err and "3 classes" in err and "4" in err
+    # a subset of the model's classes is fine
+    assert cli(["eval", "--config", str(cfg), "--classes", "2", "--model", str(cli_model)]) == 0
+    capsys.readouterr()
+
+
+# every config-bearing flag of a command at a non-default value:
+# flag -> (argv value, config path the sidecar records it under, value recorded)
+_DATA_FLAGS = {"--classes": ("2", "data.classes", 2), "--per-class": ("4", "data.per_class", 4),
+               "--difficulty": ("easy", "data.difficulty", "easy"),
+               "--data-seed": ("7", "data.seed", 7)}
+CONFIG_FLAGS = {
+    "train": {**_DATA_FLAGS, "--seed": ("5", "train.seed", 5),
+              "--family": ("birealnet", "arch.family", "birealnet"),
+              "--widths": ("8,16", "arch.widths", [8, 16]),
+              "--blocks": ("3,3", "arch.blocks", [3, 3]),
+              "--placements": ("1,2,3,5,6", "arch.exit_placements", [1, 2, 3, 5, 6]),
+              "--optimizer": ("adam", "train.optimizer", "adam"),
+              "--lr": ("0.004", "train.lr", 0.004),
+              "--batch-size": ("6", "train.batch_size", 6),
+              "--epochs": ("0", "train.epochs", 0),
+              "--exit-weights": ("1,1,2,2,3", "train.exit_weights", [1.0, 1.0, 2.0, 2.0, 3.0])},
+    "eval": {**_DATA_FLAGS, "--delta": ("0.6", "rule.threshold", 0.6),
+             "--rule": ("softmax-confidence", "rule.kind", "softmax-confidence"),
+             "--temperature": ("2.5", "rule.temperature", 2.5)},
+    "sweep": {**_DATA_FLAGS, "--deltas": ("0.2,0.4", "sweep.deltas", [0.2, 0.4])},
+    "per-class": {**_DATA_FLAGS, "--delta": ("0.3", "rule.threshold", 0.3)},
+    "synth-data": {**{f: v for f, v in _DATA_FLAGS.items() if f != "--data-seed"},
+                   "--seed": ("5", "data.seed", 5)},
+}
+
+
+def test_config_flags_are_declared_as_config_paths():
+    """Each config-bearing flag's dest is the section.key it sets, and CONFIG_FLAGS lists them all."""
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    for command, sp in subparsers.choices.items():
+        declared = {}
+        for action in sp._actions:
+            if "." in action.dest:
+                section, key = action.dest.split(".")
+                assert key in {f.name for f in dataclasses.fields(config.SECTIONS[section])}
+                declared[action.option_strings[0]] = action.dest
+        listed = {flag: path for flag, (_, path, _) in CONFIG_FLAGS.get(command, {}).items()}
+        assert declared == listed, command
+
+
+@pytest.mark.parametrize("command", list(CONFIG_FLAGS))
+def test_every_config_flag_reaches_the_sidecar(cli_model, tmp_path, capsys, command):
+    paths = {"train": (["--synth", "--out", str(tmp_path / "m.eebnn")], "m.eebnn"),
+             "eval": (["--synth", "--model", str(cli_model), "--records", str(tmp_path / "r.jsonl")],
+                      "r.jsonl"),
+             "sweep": (["--synth", "--model", str(cli_model), "--out", str(tmp_path / "s.csv")],
+                       "s.csv"),
+             "per-class": (["--synth", "--model", str(cli_model), "--out", str(tmp_path / "p.csv")],
+                           "p.csv"),
+             "synth-data": (["--out", str(tmp_path)], "manifest.csv")}
+    argv, artifact = paths[command]
+    flags = CONFIG_FLAGS[command]
+    assert cli([command, *argv, *(a for f, (v, _, _) in flags.items() for a in (f, v))]) == 0
+    capsys.readouterr()
+    resolved = json.loads((tmp_path / (artifact + ".config.json")).read_text())
+    for flag, (_, path, value) in flags.items():
+        section, key = path.split(".")
+        assert resolved[section][key] == value, flag
 
 
 def test_missing_and_corrupt_model_exit_code_two(cli_model, tmp_path, capsys):
