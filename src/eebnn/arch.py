@@ -18,9 +18,10 @@ four families differ only in the wiring around that unit:
 One trunk loop (`Model.trunk`) serves every route: it runs the layers' own
 forward on an (N, H, W, C) batch and lazily yields the activation at each
 exit placement, so a consumer that stops asking stops the trunk there.
-Training calls it on float batches in train mode, which caches what
-backprop needs; inference calls it in eval mode, which caches nothing, on a
-batch of one (`Model.exit_activations`). Per sample, the heads are read
+Training calls it on float batches in train mode, where each layer caches
+its input-side state until its backward frees it; inference calls it in
+eval mode, which caches nothing, on a batch of one
+(`Model.exit_activations`). Per sample, the heads are read
 only by `runtime.exit_outputs` (every exit, lazily) and
 `runtime.infer_fixed_exit` (one exit), both through `exit_activations` and
 `exit_distribution`. Binary layers compute on ±1 values
@@ -343,7 +344,11 @@ class Model:
         return [head.forward(x, mode) for head, x in zip(self.exits, acts)]
 
     def backward_train(self, dlogits: list[np.ndarray]) -> None:
-        """Accumulates parameter gradients from per-exit logit gradients."""
+        """Accumulates parameter gradients from per-exit logit gradients.
+
+        Each layer frees its training cache as it goes, and the stem computes
+        no gradient for the network input.
+        """
         dy = None
         exit_i = N_EXITS - 1
         for b in range(len(self.blocks), 0, -1):

@@ -42,6 +42,9 @@ class SynthData:
     difficulty: str | dict[str, float] = "mixed"  # easy | hard | mixed, or tier weights
     seed: int = 0
 
+    def __post_init__(self):
+        data.synth_tier_counts(self.classes, self.per_class, self.difficulty)
+
 
 # section name -> the dataclass it configures, one key per field
 SECTIONS = {
@@ -98,7 +101,10 @@ def merge(base: dict, overrides: dict) -> dict:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON or flag value has the annotated type; an int passes as a float."""
+    """Whether a JSON or flag value has the annotated type; an int passes as a float.
+
+    A boolean is never a number here, though Python's bool subclasses int.
+    """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(_fits(value, h) for h in args)
@@ -107,7 +113,9 @@ def _fits(value, hint) -> bool:
     if origin is dict:
         return isinstance(value, dict) and all(
             _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint in (int, float):
+        return isinstance(value, (int, float) if hint is float else int) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def _build(section: str, kwargs: dict):

@@ -100,7 +100,12 @@ def _with_noise(sig: np.ndarray, snr_db: float, rng) -> np.ndarray:
     return noisy.astype(np.float32)
 
 
-def _tier_counts(per_class: int, difficulty_mix) -> dict[str, int]:
+def synth_tier_counts(n_classes: int, per_class: int, difficulty_mix) -> dict[str, int]:
+    """Clips per class in each tier; a ValueError for arguments `synth_dataset` rejects."""
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if per_class < 1:
+        raise ValueError("need at least 1 sample per class")
     if isinstance(difficulty_mix, str):
         mix = {"easy": {"easy": 1.0}, "hard": {"hard": 1.0}, "mixed": {"easy": 0.5, "hard": 0.5}}.get(
             difficulty_mix
@@ -122,13 +127,9 @@ def _tier_counts(per_class: int, difficulty_mix) -> dict[str, int]:
 
 def synth_dataset(n_classes: int, per_class: int, difficulty_mix="mixed", seed: int = 0) -> Dataset:
     """Balanced synthetic dataset, split 80/20 per class and tier."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1:
-        raise ValueError("need at least 1 sample per class")
+    counts = synth_tier_counts(n_classes, per_class, difficulty_mix)
     rng = np.random.default_rng(seed)
     n = int(round(CLIP_SECONDS * SAMPLE_RATE))
-    counts = _tier_counts(per_class, difficulty_mix)
     samples = []
     for label in range(n_classes):
         kind, f0 = class_signature(label)

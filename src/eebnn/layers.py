@@ -1,9 +1,13 @@
 """Layer primitives: one forward serves training and inference.
 
-In train mode each layer caches whatever its backward needs, so instances
-are single-writer while training. Eval mode writes no cache: inference is a
-plain function of the input and the current parameters. Parameters are
-stored as float32; real-valued activations and gradients are float64.
+In train mode each layer caches its input-side state until its backward,
+which frees it; so instances are single-writer while training, and a
+backward without a train-mode forward before it raises. Convolutions cache
+their input, not its im2col columns, and rebuild the columns in backward,
+where the weight gradient needs them in float64 anyway. Eval mode writes no
+cache: inference is a plain function of the input and the current
+parameters. Parameters are stored as float32; real-valued activations and
+gradients are float64.
 
 Binary layers compute on ±1 values held as float32 rather than on the
 bit-packed XNOR/popcount kernels of `bitops`. A dot product of k·k·C ±1
@@ -69,14 +73,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # --- conv helpers ------------------------------------------------------------
 
 
-def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
-    """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
+def _im2col(x, geom: bitops.ConvGeometry, pad_value: float, dtype=None):
+    """Columns (N·oh·ow, k·k·C) of x (N,H,W,C), padded with pad_value.
 
-    im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
-    where every sum is an exact integer, float64 otherwise.
+    They are in `dtype`, by default x's; a wider dtype is cast during the
+    one gather, not in a second pass over the columns.
     """
     n, h, wd, c = x.shape
-    o, k = w.shape[0], w.shape[1]
+    k = geom.kernel
     pt, pb, pl, pr = geom.pad_amounts(h, wd)
     oh, ow = geom.out_hw(h, wd)
     if pt or pb or pl or pr:
@@ -86,18 +90,37 @@ def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
         xp = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     win = win[:, :: geom.stride, :: geom.stride]  # (N, oh, ow, C, k, k)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, k * k * c)
-    wmat = w.reshape(o, k * k * c)
-    y = (cols @ wmat.T).astype(np.float64, copy=False).reshape(n, oh, ow, o)
-    cache = (cols, wmat, (n, h, wd, c), (pt, pl), (oh, ow), k, geom.stride)
-    return y, cache
+    cols = np.asarray(win.transpose(0, 1, 2, 4, 5, 3), dtype=dtype, order="C")
+    return cols.reshape(n * oh * ow, k * k * c)
 
 
-def _conv_backward(dy, cache):
-    cols, wmat, (n, h, wd, c), (pt, pl), (oh, ow), k, stride = cache
-    o = wmat.shape[0]
+def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
+    """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
+
+    im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
+    where every sum is an exact integer, float64 otherwise.
+    """
+    n, h, wd, _ = x.shape
+    oh, ow = geom.out_hw(h, wd)
+    o = w.shape[0]
+    y = _im2col(x, geom, pad_value) @ w.reshape(o, -1).T
+    return y.astype(np.float64, copy=False).reshape(n, oh, ow, o)
+
+
+def _conv_weight_grad(dy, cols, w_shape):
+    """dL/dw (O,k,k,C) from the output gradient and the im2col columns of the input."""
+    o = w_shape[0]
+    return (dy.reshape(-1, o).T @ cols).reshape(w_shape)
+
+
+def _conv_input_grad(dy, w, geom: bitops.ConvGeometry, x_shape):
+    """dL/dx (N,H,W,C) from the output gradient and the weights (O,k,k,C)."""
+    n, h, wd, c = x_shape
+    o, k, stride = w.shape[0], geom.kernel, geom.stride
+    pt, _, pl, _ = geom.pad_amounts(h, wd)
+    oh, ow = geom.out_hw(h, wd)
     dyf = dy.reshape(n * oh * ow, o)
-    dw = (dyf.T @ cols).reshape(o, k, k, c)
+    wmat = w.reshape(o, k * k * c)
     # reconstruct padded size directly from the window arithmetic
     hp = max((oh - 1) * stride + k, h + pt)
     wp = max((ow - 1) * stride + k, wd + pl)
@@ -109,8 +132,7 @@ def _conv_backward(dy, cache):
             t = (i * k + j) * c
             dtap = (dyf @ wmat[:, t : t + c]).reshape(n, oh, ow, c)
             dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += dtap
-    dx = dxp[:, pt : pt + h, pl : pl + wd, :]
-    return dx, dw
+    return dxp[:, pt : pt + h, pl : pl + wd, :]
 
 
 def avgpool2(x):
@@ -152,6 +174,14 @@ class Layer:
 
     def __init__(self):
         self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
+
+    def _take_cache(self):
+        """What the last train-mode forward cached, released as backward reads it."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a train-mode forward first")
+        return cache
 
     def zero_grads(self):
         self.grads = {name: np.zeros(p.shape) for name, p in self.params().items()}
@@ -163,7 +193,11 @@ class Layer:
 
 
 class RealConv2d(Layer):
-    """Float-weight convolution (used for the stem). No bias; BN follows."""
+    """Float-weight convolution (used for the stem). No bias; BN follows.
+
+    Its input is the network input, so backward computes the weight
+    gradient only.
+    """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
         super().__init__()
@@ -172,21 +206,18 @@ class RealConv2d(Layer):
         self.w = (rng.standard_normal((out_channels, kernel, kernel, in_channels)) * np.sqrt(2.0 / fan_in)).astype(
             np.float32
         )
-        self._cache = None
 
     def params(self):
         return {"w": self.w}
 
     def forward(self, x, mode: Mode):
-        y, cache = _conv_forward(x, self.w.astype(np.float64), self.geom, 0.0)
         if mode.train:
-            self._cache = cache
-        return y
+            self._cache = x
+        return _conv_forward(x, self.w.astype(np.float64), self.geom, 0.0)
 
-    def backward(self, dy):
-        dx, dw = _conv_backward(dy, self._cache)
-        self._accumulate("w", dw)
-        return dx
+    def backward(self, dy) -> None:
+        x = self._take_cache()
+        self._accumulate("w", _conv_weight_grad(dy, _im2col(x, self.geom, 0.0, np.float64), self.w.shape))
 
 
 class BinConv2d(Layer):
@@ -202,7 +233,6 @@ class BinConv2d(Layer):
         super().__init__()
         self.geom = bitops.ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         self.latent = rng.uniform(-0.9, 0.9, (out_channels, kernel, kernel, in_channels)).astype(np.float32)
-        self._cache = None
 
     def params(self):
         return {"latent": self.latent}
@@ -212,17 +242,19 @@ class BinConv2d(Layer):
 
     def forward(self, x, mode: Mode):
         if mode.train:
-            self._cache = None  # frees the previous step's input and columns before this step makes its own
-        xb = binarized(x, mode.surrogate)
-        y, conv_cache = _conv_forward(xb, binarized(self.latent, mode.surrogate), self.geom, -1.0)
-        if mode.train:
-            self._cache = (x, conv_cache)
-        return y
+            self._cache = (x, mode.surrogate)
+        xb, wb = binarized(x, mode.surrogate), binarized(self.latent, mode.surrogate)
+        return _conv_forward(xb, wb, self.geom, -1.0)
 
     def backward(self, dy):
-        x, conv_cache = self._cache
-        dx, dw_eff = _conv_backward(dy, conv_cache)
+        x, surrogate = self._take_cache()
+        # rebuilt in float64: the values the forward's columns upcast to, so the
+        # weight gradient is the same GEMM on the same operands
+        cols = _im2col(binarized(x, surrogate), self.geom, -1.0, np.float64)
+        dw_eff = _conv_weight_grad(dy, cols, self.latent.shape)
+        del cols  # released before the input gradient allocates its own
         self._accumulate("latent", dw_eff * ste_mask(self.latent))
+        dx = _conv_input_grad(dy, binarized(self.latent, surrogate), self.geom, x.shape)
         return dx * ste_mask(x)
 
 
@@ -237,7 +269,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels, dtype=np.float32)
         self.momentum = momentum
         self.eps = eps
-        self._cache = None
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -263,7 +294,7 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, dy):
-        xhat, inv, axes = self._cache
+        xhat, inv, axes = self._take_cache()
         self._accumulate("gamma", (dy * xhat).sum(axis=axes))
         self._accumulate("beta", dy.sum(axis=axes))
         m = np.prod([xhat.shape[a] for a in axes])
@@ -291,7 +322,6 @@ class ExitHead(Layer):
         self.latent = rng.uniform(-0.9, 0.9, (n_classes, n_features)).astype(np.float32)
         self.scale = np.full(n_classes, 1.0 / np.sqrt(n_features), dtype=np.float32)
         self.bias = np.zeros(n_classes, dtype=np.float32)
-        self._cache = None
 
     def params(self):
         return {"latent": self.latent, "scale": self.scale, "bias": self.bias}
@@ -316,7 +346,7 @@ class ExitHead(Layer):
         return logits
 
     def backward(self, dlogits):
-        hw, pooled, xb, wb, ints = self._cache
+        hw, pooled, xb, wb, ints = self._take_cache()
         self._accumulate("scale", (dlogits * ints).sum(axis=0))
         self._accumulate("bias", dlogits.sum(axis=0))
         dints = dlogits * self.scale.astype(np.float64)

@@ -439,8 +439,12 @@ def test_config_file_unknown_key_exit_code(tmp_path, capsys):
     ("train", {"train": {"seed": 1.5}}),
     ("train", {"train": {"batch_size": 2.5}}),
     ("train", {"arch": {"stem_channels": "x"}}),
+    ("train", {"train": {"seed": True}}),  # a JSON boolean is not an int, though bool subclasses it
+    ("train", {"data": {"classes": False}}),
+    ("sweep", {"rule": {"threshold": True}}),
 ], ids=["sweep.deltas", "data.classes", "data.per_class", "data.difficulty", "data.seed",
-        "train.seed", "train.batch_size", "arch.stem_channels"])
+        "train.seed", "train.batch_size", "arch.stem_channels", "train.seed-bool", "data.classes-bool",
+        "rule.threshold-bool"])
 def test_wrong_typed_config_value_exit_code_one(cli_model, tmp_path, capsys, command, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
@@ -452,6 +456,28 @@ def test_wrong_typed_config_value_exit_code_one(cli_model, tmp_path, capsys, com
     [(name, values)] = section.items()
     [key] = values
     assert "config error" in err and f"{name} config: {key}" in err
+
+
+@pytest.mark.parametrize("values,message", [
+    ({"classes": 1}, "at least 2 classes"),
+    ({"per_class": 0}, "at least 1 sample"),
+    ({"difficulty": "medium"}, "easy/hard/mixed"),
+    ({"difficulty": {"loud": 1.0}}, "bad difficulty mix"),
+    ({"difficulty": {"easy": -1.0, "hard": 2.0}}, "bad difficulty mix"),
+], ids=["classes", "per_class", "difficulty", "tier", "weight"])
+def test_out_of_range_data_value_names_its_section(tmp_path, capsys, values, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": values}))
+    assert cli(["synth-data", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: data config:" in err and message in err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_data_section_accepts_tier_weights():
+    cfg = config.resolve({"data": {"classes": 2, "per_class": 4, "difficulty": {"easy": 1, "hard": 3}}})
+    assert cfg["data"]["difficulty"] == {"easy": 1, "hard": 3}
+    assert data.synth_tier_counts(2, 4, cfg["data"]["difficulty"]) == {"easy": 1, "hard": 3}
 
 
 def test_synthetic_run_rejects_other_sample_rate(tmp_path, capsys):

@@ -80,10 +80,11 @@ def test_conv_backward_adjoint_identity():
         geom = bitops.ConvGeometry(3, stride, padding, 4, 5)
         x = rng.standard_normal((2, 6, 7, 4))
         w = rng.standard_normal((5, 3, 3, 4))
-        y, cache = layers._conv_forward(x, w, geom, -1.0)
-        y0, _ = layers._conv_forward(np.zeros_like(x), w, geom, -1.0)
+        y = layers._conv_forward(x, w, geom, -1.0)
+        y0 = layers._conv_forward(np.zeros_like(x), w, geom, -1.0)
         dy = rng.standard_normal(y.shape)
-        dx, dw = layers._conv_backward(dy, cache)
+        dx = layers._conv_input_grad(dy, w, geom, x.shape)
+        dw = layers._conv_weight_grad(dy, layers._im2col(x, geom, -1.0), w.shape)
         # linear-in-x part excludes the constant pad contribution
         np.testing.assert_allclose(np.vdot(dy, y - y0), np.vdot(dx, x), rtol=1e-10)
         # conv is exactly linear in w
@@ -141,9 +142,20 @@ def test_exit_head_float_and_bit_routes_match():
     assert head.macs == 66 * 6
 
 
+def _hand_built_columns(xb, k):
+    """The (N·H·W, k·k·C) columns of a stride-1 "same" conv, padded with -1, by loops."""
+    n, h, w, c = xb.shape
+    p = k // 2
+    xp = np.full((n, h + 2 * p, w + 2 * p, c), -1.0, dtype=xb.dtype)
+    xp[:, p : p + h, p : p + w] = xb
+    rows = [xp[s, r : r + k, q : q + k].reshape(-1) for s in range(n) for r in range(h) for q in range(w)]
+    return np.array(rows)
+
+
 def test_bin_conv_binarizes_its_input_with_the_straight_through_backward():
     rng = np.random.default_rng(5)
     conv = layers.BinConv2d(2, 3, 3, 1, "same", rng)
+    conv.latent[0, 1, 1, 0] = 1.5  # one latent outside the clip, so the weight STE zeroes it
     x = rng.standard_normal((3, 4, 4, 2)) * 2.0
     xb = layers.binarized(x, surrogate=False)
     np.testing.assert_array_equal(conv.forward(x, EVAL), conv.forward(xb, EVAL))
@@ -152,11 +164,39 @@ def test_bin_conv_binarizes_its_input_with_the_straight_through_backward():
     dy = rng.standard_normal(y.shape)
     dx = conv.backward(dy)
     wb = layers.binarized(conv.latent, surrogate=False)
-    dx_conv, _ = layers._conv_backward(dy, layers._conv_forward(xb, wb, conv.geom, -1.0)[1])
+    dx_conv = layers._conv_input_grad(dy, wb, conv.geom, x.shape)
     outside = np.abs(x) > 1.0
     assert outside.any() and (~outside).any()
     assert np.all(dx[outside] == 0.0)
     np.testing.assert_array_equal(dx[~outside], dx_conv[~outside])
+
+    # the latent gradient: the forward's float32 ±1 columns, upcast by the GEMM
+    cols = _hand_built_columns(xb, 3)
+    assert cols.dtype == np.float32
+    dw_eff = layers._conv_weight_grad(dy, cols, conv.latent.shape)
+    mask = layers.ste_mask(conv.latent)
+    assert mask[0, 1, 1, 0] == 0.0 and dw_eff[0, 1, 1, 0] != 0.0
+    np.testing.assert_array_equal(conv.grads["latent"], dw_eff * mask)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (layers.RealConv2d(1, 2, 3, 2, "same", rng), (2, 5, 4, 1)),
+    lambda rng: (layers.BinConv2d(2, 3, 3, 1, "same", rng), (2, 4, 4, 2)),
+    lambda rng: (layers.BatchNorm(3), (2, 4, 4, 3)),
+    lambda rng: (layers.ExitHead(4, 3, rng), (2, 3, 3, 4)),
+])
+def test_backward_frees_the_cache_and_needs_a_train_forward(make):
+    rng = np.random.default_rng(31)
+    layer, shape = make(rng)
+    name = type(layer).__name__
+    with pytest.raises(RuntimeError, match=name):
+        layer.backward(np.zeros(1))
+    y = layer.forward(rng.standard_normal(shape), TRAIN)
+    assert layer._cache is not None
+    layer.backward(rng.standard_normal(y.shape))
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match=name):
+        layer.backward(rng.standard_normal(y.shape))
 
 
 def test_batchnorm_train_normalizes_and_tracks_running_stats():
