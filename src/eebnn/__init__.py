@@ -3,11 +3,11 @@
 A log-mel front-end, four binary block families with five exit heads, one
 layer engine for joint multi-exit training (Adam/Bop) and
 entropy-thresholded adaptive inference, an evaluation harness, and a
-single-file model format with bit-packed binary weights (the XNOR/popcount
-kernels over them are the test oracle for the engine).
+single-file model format with bit-packed binary weights (the tests hold the
+engine equal to XNOR/popcount over them).
 """
 
-from . import arch, bitops, config, data, evaluation, frontend, layers, modelio, runtime, training
+from . import arch, config, data, evaluation, frontend, layers, modelio, runtime, training
 from .arch import ArchSpec, Model, build
 from .data import Dataset, synth_dataset
 from .evaluation import SweepResult, bench_exits, per_class_exits, sweep
@@ -24,6 +24,6 @@ __all__ = [
     "bench_exits", "build", "entropy", "featurize",
     "infer_early_exit", "infer_fixed_exit", "load_model",
     "per_class_exits", "save_model", "sweep", "synth_dataset", "train_loop",
-    "arch", "bitops", "config", "data", "evaluation", "frontend", "layers",
-    "modelio", "runtime", "training",
+    "arch", "config", "data", "evaluation", "frontend", "layers", "modelio",
+    "runtime", "training",
 ]

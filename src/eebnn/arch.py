@@ -28,7 +28,7 @@ only by `runtime.exit_outputs` (every exit, lazily) and
 in float32, where every dot product is an exact integer (k·k·C ≤ 2**24),
 and cast it to float64 before batch-norm; the real-valued path stays
 float64. So a sample gets the same numbers alone or in any batch and the
-same numbers as the XNOR/popcount kernels of `bitops`.
+same numbers as XNOR/popcount over the packed bits `modelio` stores.
 
 Compute is tracked in MACs (multiply-accumulates): convolutions and the exit
 dense layers are counted, element-wise ops and pooling are not. Each exit's

@@ -173,10 +173,13 @@ def load_manifest(manifest_path, expected_rate: int = SAMPLE_RATE) -> Dataset:
     samples = []
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"path", "label", "split"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        required = ("path", "label", "split")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise DataError(f"manifest {manifest} must have columns path,label,split")
         for lineno, row in enumerate(reader, start=2):
+            missing = [k for k in required if row[k] is None]
+            if missing:
+                raise DataError(f"{manifest} line {lineno}: missing field {', '.join(missing)}")
             wav = base / row["path"]
             if not wav.is_file():
                 raise DataError(f"{manifest} line {lineno}: missing WAV {wav}")

@@ -256,28 +256,13 @@ def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
 
 
 def exit_generalization_table(model: arch.Model, dataset: data.Dataset,
-                              single_exit_models=None,
                               bank: data.FeatureBank | None = None) -> dict:
-    """Unconditional accuracy of every exit over the test split.
-
-    When independently trained single-exit models are supplied (a sequence
-    of up to N_EXITS models, entry i evaluated at exit i+1; None entries
-    allowed), their accuracies fill the single_exit column.
-    """
+    """Unconditional accuracy of every exit over the test split."""
     bank, idx = held_out_features(model, dataset, bank)
     labels = np.array([dataset.samples[i].label for i in idx])
     multi = training.exit_accuracies(model, bank, idx, labels).tolist()
-    single = [None] * arch.N_EXITS
-    if single_exit_models is not None:
-        for e, sm in enumerate(single_exit_models):
-            if sm is None:
-                continue
-            sbank = data.FeatureBank(dataset, bank.cfg, n_frames=sm.spec.input_shape[0])
-            accs = training.exit_accuracies(sm, sbank, idx, labels)
-            single[e] = float(accs[e])
     return {
         "multi_exit": multi,
-        "single_exit": single,
         "n_samples": len(idx),
         "model": model_id(model),
         "dataset": dataset.name,

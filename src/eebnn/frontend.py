@@ -118,11 +118,6 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
-def filter_centers_hz(cfg: FrontendConfig) -> np.ndarray:
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    return mel_to_hz(mel_pts)[1:-1]
-
-
 def mel_project_log(spec: np.ndarray, cfg: FrontendConfig, duration_ms: float) -> MelFeature:
     """Project a power spectrum onto the mel bank and log-compress."""
     energies = spec @ mel_filterbank(cfg).T
@@ -140,13 +135,16 @@ def featurize(pcm: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> MelFea
 def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
     """Read a 16-bit PCM mono WAV file as float32 in [-1, 1).
 
-    Raises WavFormatError for any other encoding, or when expected_rate is
-    given and the file's rate differs.
+    Raises WavFormatError for any other encoding, for a file that ends
+    inside its header or mid-sample, or when expected_rate is given and the
+    file's rate differs.
     """
     path = Path(path)
     try:
         wf = wave.open(str(path), "rb")
-    except (OSError, EOFError, wave.Error) as e:
+    except EOFError as e:
+        raise WavFormatError(f"{path}: file ends inside the WAV header") from e
+    except (OSError, wave.Error) as e:
         raise WavFormatError(f"{path}: {e}") from e
     with wf:
         if wf.getcomptype() != "NONE":
@@ -159,6 +157,8 @@ def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
         if expected_rate is not None and rate != expected_rate:
             raise WavFormatError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
         raw = wf.readframes(wf.getnframes())
+    if len(raw) % 2:
+        raise WavFormatError(f"{path}: audio data ends mid-sample ({len(raw)} bytes of 16-bit PCM)")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     return pcm, rate
 

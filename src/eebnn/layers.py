@@ -9,16 +9,16 @@ cache: inference is a plain function of the input and the current
 parameters. Parameters are stored as float32; real-valued activations and
 gradients are float64.
 
-Binary layers compute on ±1 values held as float32 rather than on the
-bit-packed XNOR/popcount kernels of `bitops`. A dot product of k·k·C ±1
-values is an integer of magnitude at most k·k·C, and float32 represents
-every such integer and partial sum exactly while k·k·C <= 2**24, which
-`bitops.ConvGeometry` and `ExitHead` enforce. So the float32 GEMM equals the
+Binary layers compute on ±1 values held as float32, not with XNOR/popcount
+over packed bits. A dot product of k·k·C ±1 values is an integer of
+magnitude at most k·k·C, and float32 represents every such integer and
+partial sum exactly while k·k·C <= 2**24 (`FLOAT32_EXACT_TERMS`), which
+`ConvGeometry` and `ExitHead` enforce. So the float32 GEMM equals the
 popcount result whatever its summation order, and in numpy it is also the
 faster of the two. Its result is cast to float64 before batch-norm, so
 everything downstream sees the same numbers as a float64 GEMM would give.
-The packed kernels stay as the storage format and as the test oracle for
-this forward.
+Packed bits are the storage format of `modelio`; the tests hold this
+forward equal to XNOR/popcount kernels over them.
 
 Each binary layer (`BinConv2d`, `ExitHead`) binarises its own input and
 its own latent weights, in one of two modes:
@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import bitops
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,67 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# float32 holds every integer up to 2**24 exactly, so a sum of at most this
+# many ±1 terms is exact in float32 whatever the order of its additions.
+FLOAT32_EXACT_TERMS = 2**24
+
+
+@dataclass(frozen=True)
+class ConvGeometry:
+    """Shape bookkeeping for a 2-D convolution."""
+
+    kernel: int
+    stride: int
+    padding: str  # "same" or "valid"
+    in_channels: int
+    out_channels: int
+
+    def __post_init__(self):
+        if self.kernel < 1 or self.stride < 1:
+            raise ValueError("kernel and stride must be >= 1")
+        if self.padding not in ("same", "valid"):
+            raise ValueError(f"unknown padding mode {self.padding!r}")
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ValueError("channel counts must be >= 1")
+        if self.kernel * self.kernel * self.in_channels > FLOAT32_EXACT_TERMS:
+            raise ValueError(
+                f"kernel {self.kernel}x{self.kernel} over {self.in_channels} channels sums "
+                f"{self.kernel * self.kernel * self.in_channels} ±1 terms, more than the "
+                f"{FLOAT32_EXACT_TERMS} that float32 adds exactly"
+            )
+
+    def pad_amounts(self, h: int, w: int) -> tuple[int, int, int, int]:
+        """(top, bottom, left, right) explicit padding for the input size."""
+        if self.padding == "valid":
+            return (0, 0, 0, 0)
+        oh, ow = self.out_hw(h, w)
+        ph = max((oh - 1) * self.stride + self.kernel - h, 0)
+        pw = max((ow - 1) * self.stride + self.kernel - w, 0)
+        return (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2)
+
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
+        if self.padding == "same":
+            oh = -(-h // self.stride)
+            ow = -(-w // self.stride)
+        else:
+            oh = (h - self.kernel) // self.stride + 1
+            ow = (w - self.kernel) // self.stride + 1
+        if oh < 1 or ow < 1:
+            raise ValueError(
+                f"invalid geometry: kernel {self.kernel} stride {self.stride} "
+                f"on {h}x{w} input yields empty output"
+            )
+        return oh, ow
+
+    def macs(self, h: int, w: int) -> int:
+        oh, ow = self.out_hw(h, w)
+        return oh * ow * self.kernel * self.kernel * self.in_channels * self.out_channels
+
+
 # --- conv helpers ------------------------------------------------------------
 
 
-def _im2col(x, geom: bitops.ConvGeometry, pad_value: float, dtype=None):
+def _im2col(x, geom: ConvGeometry, pad_value: float, dtype=None):
     """Columns (N·oh·ow, k·k·C) of x (N,H,W,C), padded with pad_value.
 
     They are in `dtype`, by default x's; a wider dtype is cast during the
@@ -94,7 +149,7 @@ def _im2col(x, geom: bitops.ConvGeometry, pad_value: float, dtype=None):
     return cols.reshape(n * oh * ow, k * k * c)
 
 
-def _conv_forward(x, w, geom: bitops.ConvGeometry, pad_value: float):
+def _conv_forward(x, w, geom: ConvGeometry, pad_value: float):
     """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
 
     im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
@@ -113,7 +168,7 @@ def _conv_weight_grad(dy, cols, w_shape):
     return (dy.reshape(-1, o).T @ cols).reshape(w_shape)
 
 
-def _conv_input_grad(dy, w, geom: bitops.ConvGeometry, x_shape):
+def _conv_input_grad(dy, w, geom: ConvGeometry, x_shape):
     """dL/dx (N,H,W,C) from the output gradient and the weights (O,k,k,C)."""
     n, h, wd, c = x_shape
     o, k, stride = w.shape[0], geom.kernel, geom.stride
@@ -201,7 +256,7 @@ class RealConv2d(Layer):
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
         super().__init__()
-        self.geom = bitops.ConvGeometry(kernel, stride, padding, in_channels, out_channels)
+        self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         fan_in = kernel * kernel * in_channels
         self.w = (rng.standard_normal((out_channels, kernel, kernel, in_channels)) * np.sqrt(2.0 / fan_in)).astype(
             np.float32
@@ -231,7 +286,7 @@ class BinConv2d(Layer):
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
         super().__init__()
-        self.geom = bitops.ConvGeometry(kernel, stride, padding, in_channels, out_channels)
+        self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         self.latent = rng.uniform(-0.9, 0.9, (out_channels, kernel, kernel, in_channels)).astype(np.float32)
 
     def params(self):
@@ -312,9 +367,9 @@ class ExitHead(Layer):
 
     def __init__(self, n_features, n_classes, rng):
         super().__init__()
-        if n_features > bitops.FLOAT32_EXACT_TERMS:
+        if n_features > FLOAT32_EXACT_TERMS:
             raise ValueError(
-                f"{n_features} features exceed the {bitops.FLOAT32_EXACT_TERMS} ±1 terms "
+                f"{n_features} features exceed the {FLOAT32_EXACT_TERMS} ±1 terms "
                 "that float32 adds exactly"
             )
         self.n_features = n_features

@@ -14,6 +14,11 @@ byte size, crc32). Binary conv/dense weights are stored as their packed sign
 bits (uint64 words), which is what makes a saved binary model about 1/32 the
 size of its float equivalent; everything real-valued is float32.
 
+Sign bits are packed along the innermost axis (input channels of a conv
+weight ``(out, k, k, in)``, features of a dense weight ``(units, features)``)
+into 64-bit words (`BitTensor`). Bit 1 encodes +1 and bit 0 encodes -1, and
+the pad bits of a trailing partial word are stored as +1.
+
 Loading verifies magic, version, the header schema (field types, and a
 blob size that matches each blob's kind and shape) and every checksum
 before any model object is constructed, so a corrupted file never yields a
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arch, bitops
+from . import arch
 
 MAGIC = b"EEBN"
 VERSION = 1
@@ -61,6 +66,83 @@ class ChecksumError(ModelFormatError):
     pass
 
 
+# --- packed sign bits ------------------------------------------------------
+
+WORD_BITS = 64
+
+
+def _word_count(n: int) -> int:
+    return (n + WORD_BITS - 1) // WORD_BITS
+
+
+@dataclasses.dataclass(frozen=True)
+class BitTensor:
+    """A ±1 tensor packed along its innermost axis.
+
+    ``words`` has shape ``shape[:-1] + (ceil(shape[-1] / 64),)`` and dtype
+    uint64. Bit ``i`` of a row lives in word ``i // 64`` at position
+    ``i % 64``.
+    """
+
+    shape: tuple[int, ...]
+    words: np.ndarray
+
+    def __post_init__(self):
+        expected = self.shape[:-1] + (_word_count(self.shape[-1]),)
+        if self.words.shape != expected:
+            raise ValueError(
+                f"word array shape {self.words.shape} does not match logical "
+                f"shape {self.shape} (expected {expected})"
+            )
+        self.words.setflags(write=False)
+
+
+def binarize(t: np.ndarray) -> BitTensor:
+    """Map a float tensor element-wise through sign and pack it.
+
+    The tie rule is sign(0) = +1. Raises ValueError naming the offending
+    index if the input contains NaN or infinity.
+    """
+    t = np.asarray(t)
+    if t.ndim == 0:
+        raise ValueError("cannot binarize a scalar")
+    finite = np.isfinite(t)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"non-finite value {t[idx]} at index {idx}")
+    return _pack_bits(t >= 0)
+
+
+def _pack_bits(bits: np.ndarray) -> BitTensor:
+    """Pack a boolean array along its last axis; pad bits are set to 1 (+1)."""
+    shape = bits.shape
+    n = shape[-1]
+    padded = _word_count(n) * WORD_BITS
+    if padded != n:
+        pad = np.ones(shape[:-1] + (padded - n,), dtype=bool)
+        bits = np.concatenate([bits.astype(bool), pad], axis=-1)
+    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
+    words = np.ascontiguousarray(packed).view(np.uint64)
+    return BitTensor(shape=tuple(shape), words=words)
+
+
+def unpack(bt: BitTensor) -> np.ndarray:
+    """Expand a BitTensor back to a float32 ±1 array."""
+    bytes_ = np.ascontiguousarray(bt.words).view(np.uint8)
+    bits = np.unpackbits(bytes_, axis=-1, bitorder="little")
+    bits = bits[..., : bt.shape[-1]]
+    return (bits.astype(np.float32) * 2.0 - 1.0).reshape(bt.shape)
+
+
+def parameter_bits(shape: tuple[int, ...]) -> int:
+    """Stored bits for a packed tensor of the given logical shape."""
+    rows = math.prod(shape[:-1]) if len(shape) > 1 else 1
+    return rows * _word_count(shape[-1]) * WORD_BITS
+
+
+# --- the container ---------------------------------------------------------
+
+
 def _blob_entries(model: arch.Model):
     """(name, kind, array) for every persisted tensor, in a fixed order."""
     for path, lay in model.named_layers():
@@ -74,7 +156,7 @@ def _blob_entries(model: arch.Model):
 
 def _pack_blob(kind: str, arr: np.ndarray) -> tuple[bytes, list[int]]:
     if kind == "bits":
-        bt = bitops.binarize(arr.astype(np.float64))
+        bt = binarize(arr.astype(np.float64))
         words = bt.words.astype("<u8")
         return words.tobytes(), list(arr.shape)
     return np.ascontiguousarray(arr, dtype="<f4").tobytes(), list(arr.shape)
@@ -82,7 +164,7 @@ def _pack_blob(kind: str, arr: np.ndarray) -> tuple[bytes, list[int]]:
 
 def _blob_nbytes(kind: str, shape: list[int]) -> int:
     if kind == "bits":
-        return bitops.parameter_bits(tuple(shape)) // 8
+        return parameter_bits(tuple(shape)) // 8
     return 4 * math.prod(shape)
 
 
@@ -122,10 +204,10 @@ def _check_header(header, path: Path) -> None:
 def _unpack_blob(kind: str, raw: bytes, shape: list[int]) -> np.ndarray:
     shape = tuple(shape)
     if kind == "bits":
-        n_words = bitops._word_count(shape[-1])
+        n_words = _word_count(shape[-1])
         words = np.frombuffer(raw, dtype="<u8").reshape(shape[:-1] + (n_words,))
-        bt = bitops.BitTensor(shape, words.astype(np.uint64))
-        return bitops.unpack(bt).astype(np.float32)
+        bt = BitTensor(shape, words.astype(np.uint64))
+        return unpack(bt).astype(np.float32)
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 
 

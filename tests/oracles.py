@@ -1,0 +1,154 @@
+"""XNOR/popcount kernels over packed ±1 tensors, and naive float references.
+
+The kernels are the reference semantics of a binary layer. The network
+itself runs the float32 forward of `eebnn.layers` on ±1 values, and the
+tests hold it equal to these kernels; the kernels in turn are held equal to
+the ``*_reference`` functions, deliberately naive float implementations of
+the same contractions, free of any packing or im2col machinery.
+
+The kernels read exactly the words `eebnn.modelio` packs and a saved model
+stores: bit 1 encodes +1, bit 0 encodes -1, and the pad bits of a trailing
+partial word, stored as +1, are masked out, so their stored value can never
+reach a result. Kernel outputs are exact integer counts stored as float32.
+"Same" padding pads activations with -1.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from eebnn.layers import ConvGeometry
+from eebnn.modelio import WORD_BITS, BitTensor, _word_count
+
+
+def _tail_mask(n: int) -> np.uint64:
+    """Mask selecting the valid bits of the final word of an n-bit row."""
+    valid = n - (_word_count(n) - 1) * WORD_BITS
+    if valid == WORD_BITS:
+        return np.uint64(0xFFFFFFFFFFFFFFFF)
+    return np.uint64((1 << valid) - 1)
+
+
+def _mask_row(n: int) -> np.ndarray:
+    """Per-word validity masks for an n-bit packed row."""
+    row = np.full(_word_count(n), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    row[-1] = _tail_mask(n)
+    return row
+
+
+def flip_pad_bits(bt: BitTensor) -> BitTensor:
+    """Test hook: invert the pad bits of the final word of every row.
+
+    Kernels mask pad bits, so outputs must be unchanged under this
+    transformation.
+    """
+    n = bt.shape[-1]
+    words = bt.words.copy()
+    words[..., -1] ^= ~_tail_mask(n)
+    return BitTensor(shape=bt.shape, words=words)
+
+
+def xnor_dot(a: BitTensor, b: BitTensor) -> int:
+    """Dot product of two ±1 vectors via XNOR and popcount.
+
+    Returns sum(a_i * b_i) computed as 2 * popcount(XNOR masked to the n
+    valid bits) - n. The result lies in [-n, n] and has the parity of n.
+    """
+    if len(a.shape) != 1 or len(b.shape) != 1:
+        raise ValueError("xnor_dot expects 1-D BitTensors")
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    n = a.shape[0]
+    xnor = np.bitwise_not(np.bitwise_xor(a.words, b.words)) & _mask_row(n)
+    matches = int(np.bitwise_count(xnor).sum())
+    return 2 * matches - n
+
+
+def binary_conv2d(x: BitTensor, w: BitTensor, geom: ConvGeometry) -> np.ndarray:
+    """XNOR/popcount 2-D convolution of packed ±1 tensors.
+
+    ``x`` has shape (h, w, c) and ``w`` has shape (o, k, k, c), both packed
+    along c. Returns a float32 array (h', w', o) of exact integers equal to
+    the float convolution of the unpacked tensors; "same" mode pads with -1.
+    """
+    if len(x.shape) != 3:
+        raise ValueError(f"input must be (h, w, c), got {x.shape}")
+    if len(w.shape) != 4 or w.shape[1] != w.shape[2]:
+        raise ValueError(f"weights must be (o, k, k, c), got {w.shape}")
+    h, wdt, c = x.shape
+    o, k, _, cw = w.shape
+    if c != geom.in_channels or cw != c:
+        raise ValueError(f"channel mismatch: input {c}, weights {cw}, geometry {geom.in_channels}")
+    if o != geom.out_channels or k != geom.kernel:
+        raise ValueError("weight shape disagrees with geometry")
+
+    pt, pb, pl, pr = geom.pad_amounts(h, wdt)
+    oh, ow = geom.out_hw(h, wdt)
+    nw = _word_count(c)
+
+    # All-zero words encode -1 in every bit, which is exactly the "same"-mode
+    # padding value; bits beyond c are masked below.
+    canvas = np.zeros((h + pt + pb, wdt + pl + pr, nw), dtype=np.uint64)
+    canvas[pt : pt + h, pl : pl + wdt] = x.words
+
+    win = np.lib.stride_tricks.sliding_window_view(canvas, (k, k), axis=(0, 1))
+    win = win[:: geom.stride, :: geom.stride]  # (oh, ow, nw, k, k)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2)).reshape(oh * ow, k * k * nw)
+
+    wmat = w.words.reshape(o, k * k * nw)
+    mask = np.tile(_mask_row(c), k * k)
+    total_bits = k * k * c
+
+    out = np.empty((oh * ow, o), dtype=np.int64)
+    for j in range(o):
+        xnor = np.bitwise_not(np.bitwise_xor(cols, wmat[j])) & mask
+        out[:, j] = np.bitwise_count(xnor).sum(axis=1, dtype=np.int64)
+    return (2 * out - total_bits).astype(np.float32).reshape(oh, ow, o)
+
+
+def binary_dense(x: BitTensor, w: BitTensor) -> np.ndarray:
+    """XNOR/popcount matvec: ±1 vector of n features against (u, n) weights.
+
+    Returns a float32 vector of u exact integer dot products.
+    """
+    if len(x.shape) != 1:
+        raise ValueError(f"input must be a vector, got shape {x.shape}")
+    if len(w.shape) != 2 or w.shape[1] != x.shape[0]:
+        raise ValueError(f"weight shape {w.shape} does not match input length {x.shape[0]}")
+    n = x.shape[0]
+    xnor = np.bitwise_not(np.bitwise_xor(w.words, x.words[None, :])) & _mask_row(n)[None, :]
+    matches = np.bitwise_count(xnor).sum(axis=1, dtype=np.int64)
+    return (2 * matches - n).astype(np.float32)
+
+
+# --- naive float oracle ----------------------------------------------------
+
+
+def conv2d_reference(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> np.ndarray:
+    """Naive float 2-D convolution of ±1 arrays, one window sum at a time.
+
+    Same layouts as binary_conv2d: x (h, w, c), w (o, k, k, c); "same"
+    padding uses -1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    h, wdt, _ = x.shape
+    o, k = w.shape[0], w.shape[1]
+    pt, pb, pl, pr = geom.pad_amounts(h, wdt)
+    oh, ow = geom.out_hw(h, wdt)
+    canvas = np.full((h + pt + pb, wdt + pl + pr, x.shape[2]), -1.0)
+    canvas[pt : pt + h, pl : pl + wdt] = x
+    out = np.empty((oh, ow, o))
+    for i in range(oh):
+        for j in range(ow):
+            window = canvas[i * geom.stride : i * geom.stride + k, j * geom.stride : j * geom.stride + k]
+            for u in range(o):
+                out[i, j, u] = np.sum(window * w[u])
+    return out
+
+
+def dense_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Naive float matvec of a ±1 vector against (u, n) ±1 weights."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    return np.array([np.sum(x * w[u]) for u in range(w.shape[0])])

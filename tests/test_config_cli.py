@@ -615,6 +615,33 @@ def test_short_wav_exit_code_two(cli_model, tmp_path, capsys, command):
     assert str(wav) in capsys.readouterr().err
 
 
+def test_manifest_row_missing_fields_exit_code_two(cli_model, tmp_path, capsys):
+    frontend.write_wav(tmp_path / "a.wav", np.zeros(16000, dtype=np.float32), 16000)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\na.wav\n")
+    assert cli(["eval", "--model", str(cli_model), "--manifest", str(manifest)]) == 2
+    assert f"{manifest} line 2: missing field label, split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda raw: raw[:-1], "audio data ends mid-sample"),
+    (lambda raw: raw[:20], "file ends inside the WAV header"),
+], ids=["mid-sample", "in-header"])
+@pytest.mark.parametrize("command", ["bench", "features", "manifest"])
+def test_damaged_wav_exit_code_two(cli_model, tmp_path, capsys, command, damage, message):
+    """A WAV cut short is a data error that names the file and says what is wrong."""
+    wav = tmp_path / "cut.wav"
+    frontend.write_wav(wav, np.zeros(16000, dtype=np.float32), 16000)
+    wav.write_bytes(damage(wav.read_bytes()))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\ncut.wav,0,test\n")
+    argv = {"bench": ["bench", "--model", str(cli_model), "--wav", str(wav)],
+            "features": ["features", "--wav", str(wav), "--out", str(tmp_path / "f.npy")],
+            "manifest": ["eval", "--model", str(cli_model), "--manifest", str(manifest)]}
+    assert cli(argv[command]) == 2
+    assert f"{wav}: {message}" in capsys.readouterr().err
+
+
 def test_missing_wav_exit_code_two(cli_model, tmp_path, capsys):
     assert cli(["features", "--wav", str(tmp_path / "none.wav"),
                 "--out", str(tmp_path / "f.npy")]) == 2

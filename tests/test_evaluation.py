@@ -141,16 +141,7 @@ def test_exit_generalization_table(trained_model, easy_dataset, feature_bank):
     table = exit_generalization_table(trained_model, easy_dataset, bank=feature_bank)
     assert len(table["multi_exit"]) == 5
     assert all(0.0 <= a <= 1.0 for a in table["multi_exit"])
-    assert table["single_exit"] == [None] * 5
     assert table["n_samples"] == 32
-    # a model supplied as its own exit-5 single must reproduce the multi column
-    table2 = exit_generalization_table(
-        trained_model, easy_dataset,
-        single_exit_models=[None, None, None, None, trained_model],
-        bank=feature_bank,
-    )
-    assert table2["single_exit"][:4] == [None] * 4
-    assert table2["single_exit"][4] == pytest.approx(table2["multi_exit"][4])
 
 
 def test_write_sweep_csv(sw, tmp_path):

@@ -111,7 +111,8 @@ def test_filterbank_shape_and_band_limits():
 
 
 def test_tone_lands_in_nearest_mel_filter():
-    centers = frontend.filter_centers_hz(CFG)
+    mel_pts = np.linspace(frontend.hz_to_mel(CFG.fmin), frontend.hz_to_mel(CFG.fmax), CFG.n_mels + 2)
+    centers = frontend.mel_to_hz(mel_pts)[1:-1]
     for freq in (350.0, 1000.0, 3000.0):
         feat = frontend.featurize(tone(freq), CFG)
         hot = int(np.argmax(feat.data.mean(axis=0)))

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from eebnn import bitops, layers
+import oracles
+from eebnn import layers, modelio
 from eebnn.layers import Mode
 
 EVAL = Mode()
@@ -77,7 +78,7 @@ def test_avgpool2_adjoint_identity():
 def test_conv_backward_adjoint_identity():
     rng = np.random.default_rng(9)
     for padding, stride in [("same", 1), ("same", 2), ("valid", 1)]:
-        geom = bitops.ConvGeometry(3, stride, padding, 4, 5)
+        geom = layers.ConvGeometry(3, stride, padding, 4, 5)
         x = rng.standard_normal((2, 6, 7, 4))
         w = rng.standard_normal((5, 3, 3, 4))
         y = layers._conv_forward(x, w, geom, -1.0)
@@ -97,8 +98,8 @@ def test_binconv_float_and_bit_routes_match():
         conv = layers.BinConv2d(cin, cout, 3, stride, "same", rng)
         act = np.where(rng.standard_normal((1, 9, 8, cin)) >= 0, 1.0, -1.0)
         y_float = conv.forward(act, EVAL)[0]
-        wbits = bitops.binarize(conv.latent.astype(np.float64))
-        y_bits = bitops.binary_conv2d(bitops.binarize(act[0]), wbits, conv.geom)
+        wbits = modelio.binarize(conv.latent.astype(np.float64))
+        y_bits = oracles.binary_conv2d(modelio.binarize(act[0]), wbits, conv.geom)
         assert np.array_equal(y_float, y_bits)
 
 
@@ -110,8 +111,8 @@ def test_binconv_float32_matches_bit_kernel_past_toy_widths():
     assert act.dtype == np.float32
     y = conv.forward(act, EVAL)
     assert y.dtype == np.float64
-    y_bits = bitops.binary_conv2d(
-        bitops.binarize(act[0]), bitops.binarize(conv.latent.astype(np.float64)), conv.geom
+    y_bits = oracles.binary_conv2d(
+        modelio.binarize(act[0]), modelio.binarize(conv.latent.astype(np.float64)), conv.geom
     )
     assert np.array_equal(y[0], y_bits)
 
@@ -135,8 +136,8 @@ def test_exit_head_float_and_bit_routes_match():
     head = layers.ExitHead(66, 6, rng)
     act = np.where(rng.standard_normal((1, 4, 5, 66)) >= 0, 1.0, -1.0)
     logits = head.forward(act, EVAL)
-    pooled = bitops.binarize(act[0].mean(axis=(0, 1)))
-    ints = bitops.binary_dense(pooled, bitops.binarize(head.latent.astype(np.float64)))
+    pooled = modelio.binarize(act[0].mean(axis=(0, 1)))
+    ints = oracles.binary_dense(pooled, modelio.binarize(head.latent.astype(np.float64)))
     expected = head.scale.astype(np.float64) * ints + head.bias.astype(np.float64)
     np.testing.assert_array_equal(logits[0], expected)
     assert head.macs == 66 * 6
