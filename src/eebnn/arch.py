@@ -354,7 +354,7 @@ class Model:
         for b in range(len(self.blocks), 0, -1):
             while exit_i >= 0 and self.placements[exit_i] == b:
                 dhead = self.exits[exit_i].backward(dlogits[exit_i])
-                dy = dhead if dy is None else dy + dhead
+                dy = dhead if dy is None else np.add(dy, dhead, out=dy)
                 exit_i -= 1
             dy = self.blocks[b - 1].backward(dy)
             if b in self.pool_before:

@@ -177,17 +177,28 @@ def load_manifest(manifest_path, expected_rate: int = SAMPLE_RATE) -> Dataset:
         if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise DataError(f"manifest {manifest} must have columns path,label,split")
         for lineno, row in enumerate(reader, start=2):
+            where = f"{manifest} line {lineno}"
             missing = [k for k in required if row[k] is None]
             if missing:
-                raise DataError(f"{manifest} line {lineno}: missing field {', '.join(missing)}")
+                raise DataError(f"{where}: missing field {', '.join(missing)}")
+            if None in row:  # csv.DictReader's key for fields beyond the header
+                raise DataError(f"{where}: {len(row[None])} field(s) beyond the header's "
+                                f"{len(reader.fieldnames)}")
+            try:
+                label = int(row["label"])
+            except ValueError as e:
+                raise DataError(f"{where}: {e}") from e
+            if label < 0:
+                raise DataError(f"{where}: label {label} is negative")
+            if row["split"] not in ("train", "test"):
+                raise DataError(f"{where}: unknown split tag {row['split']!r}, expected train or test")
             wav = base / row["path"]
             if not wav.is_file():
-                raise DataError(f"{manifest} line {lineno}: missing WAV {wav}")
+                raise DataError(f"{where}: missing WAV {wav}")
             try:
                 pcm, _ = frontend.load_wav(wav, expected_rate=expected_rate)
-                label = int(row["label"])
-            except (frontend.WavFormatError, ValueError) as e:
-                raise DataError(f"{manifest} line {lineno}: {e}") from e
+            except frontend.WavFormatError as e:
+                raise DataError(f"{where}: {e}") from e
             tier = None
             parts = Path(row["path"]).stem.split("_")
             if len(parts) >= 2 and parts[1] in ("easy", "hard"):

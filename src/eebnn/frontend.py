@@ -132,12 +132,19 @@ def featurize(pcm: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> MelFea
     return mel_project_log(spec, cfg, 1000.0 * len(pcm) / cfg.sample_rate)
 
 
+# frames of a 16-bit mono data chunk whose size field holds the streaming
+# placeholder 0xFFFFFFFF
+_STREAMING_FRAMES = 0xFFFFFFFF // 2
+
+
 def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
     """Read a 16-bit PCM mono WAV file as float32 in [-1, 1).
 
     Raises WavFormatError for any other encoding, for a file that ends
-    inside its header or mid-sample, or when expected_rate is given and the
-    file's rate differs.
+    inside its header, mid-sample or before the sample count its header
+    declares, or when expected_rate is given and the file's rate differs.
+    A data size of 0xFFFFFFFF is the placeholder that streaming writers
+    leave when they cannot seek back; such a file is read to its end.
     """
     path = Path(path)
     try:
@@ -156,9 +163,14 @@ def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
         rate = wf.getframerate()
         if expected_rate is not None and rate != expected_rate:
             raise WavFormatError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
-        raw = wf.readframes(wf.getnframes())
+        declared = wf.getnframes()
+        # read in pieces: a placeholder or damaged size field claims up to 4 GiB
+        raw = b"".join(iter(lambda: wf.readframes(1 << 16), b""))
     if len(raw) % 2:
         raise WavFormatError(f"{path}: audio data ends mid-sample ({len(raw)} bytes of 16-bit PCM)")
+    if declared != _STREAMING_FRAMES and len(raw) // 2 < declared:
+        raise WavFormatError(f"{path}: audio data holds {len(raw) // 2} samples, "
+                             f"its header declares {declared}")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     return pcm, rate
 

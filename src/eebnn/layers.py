@@ -20,6 +20,25 @@ everything downstream sees the same numbers as a float64 GEMM would give.
 Packed bits are the storage format of `modelio`; the tests hold this
 forward equal to XNOR/popcount kernels over them.
 
+A training step touches each large map as few times as it can, and the
+conv loops run in batch slices whose working set fits `_BLOCK_BYTES`
+(256 KiB, a core's L2 cache). Neither changes a bit:
+
+* the float32 forward of a binary conv runs im2col and its GEMM per slice;
+  its sums are exact integers, so any split of the rows gives the same y.
+  Batch 1 is a single slice. Float64 input runs in one GEMM;
+* the input gradient runs its nine per-tap GEMMs per slice; each sample's
+  rows meet the same weights and are added over the taps in the same order
+  (this leans on BLAS computing a row the same way in any row count, which
+  the tests check on the host they run on);
+* batch-norm centres its input once, takes the variance from that map
+  with `np.var`'s own steps, and normalises and back-propagates in place,
+  in the original order of operations.
+
+The weight gradient reduces over the rows, so its float64 columns stay
+whole. `tests/oracles.py` keeps the one-shot, out-of-place forms, and the
+tests hold the engine bit-identical to them.
+
 Each binary layer (`BinConv2d`, `ExitHead`) binarises its own input and
 its own latent weights, in one of two modes:
 
@@ -127,6 +146,16 @@ class ConvGeometry:
 
 # --- conv helpers ------------------------------------------------------------
 
+# Working-set bytes of one batch slice in the blocked conv loops: the
+# per-slice columns of `_conv_forward` and the padded gradient map of
+# `_conv_input_grad` stay in a core's L2 cache.
+_BLOCK_BYTES = 256 * 2**10
+
+
+def _block_samples(bytes_per_sample: int) -> int:
+    """Samples per batch slice: as many as fit `_BLOCK_BYTES`, at least one."""
+    return max(1, _BLOCK_BYTES // bytes_per_sample)
+
 
 def _im2col(x, geom: ConvGeometry, pad_value: float, dtype=None):
     """Columns (N·oh·ow, k·k·C) of x (N,H,W,C), padded with pad_value.
@@ -153,13 +182,22 @@ def _conv_forward(x, w, geom: ConvGeometry, pad_value: float):
     """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
 
     im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
-    where every sum is an exact integer, float64 otherwise.
+    where every sum is an exact integer, float64 otherwise. Exact sums do
+    not depend on how the rows are split, so float32 input runs in batch
+    slices whose columns fit `_BLOCK_BYTES` (one slice at batch 1); float64
+    input runs in one GEMM, whose sums keep their one-shot order.
     """
-    n, h, wd, _ = x.shape
+    n, h, wd, c = x.shape
     oh, ow = geom.out_hw(h, wd)
     o = w.shape[0]
-    y = _im2col(x, geom, pad_value) @ w.reshape(o, -1).T
-    return y.astype(np.float64, copy=False).reshape(n, oh, ow, o)
+    wt = w.reshape(o, -1).T
+    if x.dtype != np.float32:
+        return (_im2col(x, geom, pad_value) @ wt).reshape(n, oh, ow, o)
+    step = _block_samples(oh * ow * geom.kernel**2 * c * x.itemsize)
+    y = np.empty((n, oh, ow, o))
+    for lo in range(0, n, step):
+        y[lo : lo + step] = (_im2col(x[lo : lo + step], geom, pad_value) @ wt).reshape(-1, oh, ow, o)
+    return y
 
 
 def _conv_weight_grad(dy, cols, w_shape):
@@ -169,24 +207,35 @@ def _conv_weight_grad(dy, cols, w_shape):
 
 
 def _conv_input_grad(dy, w, geom: ConvGeometry, x_shape):
-    """dL/dx (N,H,W,C) from the output gradient and the weights (O,k,k,C)."""
+    """dL/dx (N,H,W,C) from the output gradient and the weights (O,k,k,C).
+
+    Runs in batch slices whose padded gradient map fits `_BLOCK_BYTES`, so
+    the nine scatter-adds of a slice hit cache. A sample's rows are the same
+    GEMM rows against the same weights in any slice, and each sample's map
+    is summed over the taps in the same order, so slicing changes no bit
+    where BLAS computes a row alike in any row count (the tests check it).
+    Returns a view into the padded map.
+    """
     n, h, wd, c = x_shape
     o, k, stride = w.shape[0], geom.kernel, geom.stride
     pt, _, pl, _ = geom.pad_amounts(h, wd)
     oh, ow = geom.out_hw(h, wd)
-    dyf = dy.reshape(n * oh * ow, o)
     wmat = w.reshape(o, k * k * c)
     # reconstruct padded size directly from the window arithmetic
     hp = max((oh - 1) * stride + k, h + pt)
     wp = max((ow - 1) * stride + k, wd + pl)
     dxp = np.zeros((n, hp, wp, c))
-    # the column gradient one kernel tap at a time, so each scatter-add reads
-    # a contiguous (N, oh, ow, C) block instead of a C-wide strided slice
-    for i in range(k):
-        for j in range(k):
-            t = (i * k + j) * c
-            dtap = (dyf @ wmat[:, t : t + c]).reshape(n, oh, ow, c)
-            dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += dtap
+    step = _block_samples(dxp[0].nbytes)
+    for lo in range(0, n, step):
+        dyf = dy[lo : lo + step].reshape(-1, o)
+        dxb = dxp[lo : lo + step]
+        # the column gradient one kernel tap at a time, so each scatter-add
+        # reads a contiguous (n, oh, ow, C) block instead of a C-wide strided slice
+        for i in range(k):
+            for j in range(k):
+                t = (i * k + j) * c
+                dtap = (dyf @ wmat[:, t : t + c]).reshape(-1, oh, ow, c)
+                dxb[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += dtap
     return dxp[:, pt : pt + h, pl : pl + wd, :]
 
 
@@ -310,7 +359,8 @@ class BinConv2d(Layer):
         del cols  # released before the input gradient allocates its own
         self._accumulate("latent", dw_eff * ste_mask(self.latent))
         dx = _conv_input_grad(dy, binarized(self.latent, surrogate), self.geom, x.shape)
-        return dx * ste_mask(x)
+        dx *= ste_mask(x)
+        return dx
 
 
 class BatchNorm(Layer):
@@ -335,13 +385,17 @@ class BatchNorm(Layer):
         if mode.train:
             axes = tuple(range(x.ndim - 1))
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean
+            # np.var's own steps: the summed squares of x - mean over the count
+            var = (xhat * xhat).sum(axis=axes) / (x.size // x.shape[-1])
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv
+            xhat *= inv
             self.running_mean = ((1 - self.momentum) * self.running_mean + self.momentum * mean).astype(np.float32)
             self.running_var = ((1 - self.momentum) * self.running_var + self.momentum * var).astype(np.float32)
             self._cache = (xhat, inv, axes)
-            return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
+            y = xhat * self.gamma.astype(np.float64)
+            y += self.beta.astype(np.float64)
+            return y
         y = x - self.running_mean.astype(np.float64)
         y *= 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
         y *= self.gamma.astype(np.float64)
@@ -350,11 +404,21 @@ class BatchNorm(Layer):
 
     def backward(self, dy):
         xhat, inv, axes = self._take_cache()
-        self._accumulate("gamma", (dy * xhat).sum(axis=axes))
+        prod = dy * xhat
+        self._accumulate("gamma", prod.sum(axis=axes))
         self._accumulate("beta", dy.sum(axis=axes))
         m = np.prod([xhat.shape[a] for a in axes])
         dxhat = dy * self.gamma.astype(np.float64)
-        return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
+        s1 = dxhat.sum(axis=axes)
+        s2 = np.multiply(dxhat, xhat, out=prod).sum(axis=axes)
+        # (inv / m) * (m * dxhat - s1 - xhat * s2), one operation at a time
+        # in that order, built in dxhat; the cache is ours to overwrite
+        xhat *= s2
+        dxhat *= m
+        dxhat -= s1
+        dxhat -= xhat
+        dxhat *= inv / m
+        return dxhat
 
 
 class ExitHead(Layer):

@@ -1,10 +1,15 @@
-"""XNOR/popcount kernels over packed ±1 tensors, and naive float references.
+"""XNOR/popcount kernels over packed ±1 tensors, and float references.
 
 The kernels are the reference semantics of a binary layer. The network
 itself runs the float32 forward of `eebnn.layers` on ±1 values, and the
 tests hold it equal to these kernels; the kernels in turn are held equal to
-the ``*_reference`` functions, deliberately naive float implementations of
-the same contractions, free of any packing or im2col machinery.
+`conv2d_reference` and `dense_reference`, deliberately naive float
+implementations of the same contractions, free of any packing or im2col
+machinery.
+
+The last section keeps the training step's one-shot, out-of-place forms
+(``conv_forward_reference`` and the rest). The engine runs them batch-blocked
+and in place, and must give the same bits.
 
 The kernels read exactly the words `eebnn.modelio` packs and a saved model
 stores: bit 1 encodes +1, bit 0 encodes -1, and the pad bits of a trailing
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from eebnn.layers import ConvGeometry
+from eebnn.layers import BatchNorm, ConvGeometry, Mode, _im2col
 from eebnn.modelio import WORD_BITS, BitTensor, _word_count
 
 
@@ -152,3 +157,75 @@ def dense_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     return np.array([np.sum(x * w[u]) for u in range(w.shape[0])])
+
+
+# --- the training step, one-shot and out of place ---------------------------
+#
+# Each is a verbatim copy of an `eebnn.layers` routine before it was made
+# batch-blocked or in place. `tests/test_layers.py` holds the engine
+# bit-identical to them layer by layer, and `tests/test_training_identity.py`
+# trains with them patched in.
+
+
+def conv_forward_reference(x, w, geom: ConvGeometry, pad_value: float):
+    """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
+
+    im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
+    where every sum is an exact integer, float64 otherwise.
+    """
+    n, h, wd, _ = x.shape
+    oh, ow = geom.out_hw(h, wd)
+    o = w.shape[0]
+    y = _im2col(x, geom, pad_value) @ w.reshape(o, -1).T
+    return y.astype(np.float64, copy=False).reshape(n, oh, ow, o)
+
+
+def conv_input_grad_reference(dy, w, geom: ConvGeometry, x_shape):
+    """dL/dx (N,H,W,C) from the output gradient and the weights (O,k,k,C)."""
+    n, h, wd, c = x_shape
+    o, k, stride = w.shape[0], geom.kernel, geom.stride
+    pt, _, pl, _ = geom.pad_amounts(h, wd)
+    oh, ow = geom.out_hw(h, wd)
+    dyf = dy.reshape(n * oh * ow, o)
+    wmat = w.reshape(o, k * k * c)
+    # reconstruct padded size directly from the window arithmetic
+    hp = max((oh - 1) * stride + k, h + pt)
+    wp = max((ow - 1) * stride + k, wd + pl)
+    dxp = np.zeros((n, hp, wp, c))
+    # the column gradient one kernel tap at a time, so each scatter-add reads
+    # a contiguous (N, oh, ow, C) block instead of a C-wide strided slice
+    for i in range(k):
+        for j in range(k):
+            t = (i * k + j) * c
+            dtap = (dyf @ wmat[:, t : t + c]).reshape(n, oh, ow, c)
+            dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += dtap
+    return dxp[:, pt : pt + h, pl : pl + wd, :]
+
+
+def batchnorm_forward_reference(self: BatchNorm, x, mode: Mode):
+    """`BatchNorm.forward`: a method, so it can stand in for the engine's."""
+    if mode.train:
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean) * inv
+        self.running_mean = ((1 - self.momentum) * self.running_mean + self.momentum * mean).astype(np.float32)
+        self.running_var = ((1 - self.momentum) * self.running_var + self.momentum * var).astype(np.float32)
+        self._cache = (xhat, inv, axes)
+        return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
+    y = x - self.running_mean.astype(np.float64)
+    y *= 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+    y *= self.gamma.astype(np.float64)
+    y += self.beta.astype(np.float64)
+    return y
+
+
+def batchnorm_backward_reference(self: BatchNorm, dy):
+    """`BatchNorm.backward`: a method, so it can stand in for the engine's."""
+    xhat, inv, axes = self._take_cache()
+    self._accumulate("gamma", (dy * xhat).sum(axis=axes))
+    self._accumulate("beta", dy.sum(axis=axes))
+    m = np.prod([xhat.shape[a] for a in axes])
+    dxhat = dy * self.gamma.astype(np.float64)
+    return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))

@@ -625,8 +625,9 @@ def test_manifest_row_missing_fields_exit_code_two(cli_model, tmp_path, capsys):
 
 @pytest.mark.parametrize("damage,message", [
     (lambda raw: raw[:-1], "audio data ends mid-sample"),
+    (lambda raw: raw[:-2], "audio data holds 15999 samples, its header declares 16000"),
     (lambda raw: raw[:20], "file ends inside the WAV header"),
-], ids=["mid-sample", "in-header"])
+], ids=["mid-sample", "short-data", "in-header"])
 @pytest.mark.parametrize("command", ["bench", "features", "manifest"])
 def test_damaged_wav_exit_code_two(cli_model, tmp_path, capsys, command, damage, message):
     """A WAV cut short is a data error that names the file and says what is wrong."""

@@ -121,6 +121,30 @@ def test_load_manifest_errors(tmp_path):
         load_manifest(empty)
 
 
+@pytest.mark.parametrize("row,message", [
+    ("a.wav,0,", "unknown split tag '', expected train or test"),
+    ("a.wav,0,valid", "unknown split tag 'valid', expected train or test"),
+    ("a.wav,-1,test", "label -1 is negative"),
+    ("a.wav,0,test,extra", "1 field(s) beyond the header's 3"),
+    ("a.wav,x,test", "invalid literal for int()"),
+], ids=["empty-split", "unknown-split", "negative-label", "extra-field", "bad-label"])
+def test_load_manifest_names_the_bad_line(tmp_path, row, message):
+    frontend.write_wav(tmp_path / "a.wav", np.zeros(16000, dtype=np.float32), 16000)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,label,split\na.wav,1,train\n{row}\n")
+    with pytest.raises(DataError) as err:
+        load_manifest(manifest)
+    assert str(err.value).startswith(f"{manifest} line 3: {message}")
+
+
+def test_load_manifest_accepts_columns_beyond_path_label_split(tmp_path):
+    frontend.write_wav(tmp_path / "a.wav", np.zeros(16000, dtype=np.float32), 16000)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,split,note\na.wav,1,train,loud\na.wav,0,test,\n")
+    ds = load_manifest(manifest)
+    assert [(s.label, s.split) for s in ds.samples] == [(1, "train"), (0, "test")]
+
+
 def test_fit_frames_crop_and_pad():
     feat = np.arange(12, dtype=np.float64).reshape(6, 2)
     same = fit_frames(feat, 6)

@@ -149,6 +149,35 @@ def test_load_wav_rejects_wrong_rate(tmp_path):
         frontend.load_wav(p, expected_rate=16000)
 
 
+def _with_size_fields(raw: bytes, size: bytes) -> bytes:
+    """The WAV bytes with the RIFF and data chunk size fields set to `size`."""
+    data = raw.index(b"data")
+    return raw[:4] + size + raw[8 : data + 4] + size + raw[data + 8 :]
+
+
+def test_load_wav_rejects_data_shorter_than_its_header(tmp_path):
+    """A cut on a sample boundary is caught by the declared sample count."""
+    p = tmp_path / "t.wav"
+    frontend.write_wav(p, tone(440.0), 16000)
+    p.write_bytes(p.read_bytes()[:-2])
+    with pytest.raises(frontend.WavFormatError,
+                       match=f"{p}: audio data holds 15999 samples, its header declares 16000"):
+        frontend.load_wav(p)
+
+
+def test_load_wav_reads_a_streaming_placeholder_size_to_the_end(tmp_path):
+    p, streamed = tmp_path / "t.wav", tmp_path / "streamed.wav"
+    frontend.write_wav(p, tone(440.0), 16000)
+    streamed.write_bytes(_with_size_fields(p.read_bytes(), b"\xff\xff\xff\xff"))
+    pcm, rate = frontend.load_wav(streamed)
+    assert rate == 16000
+    assert np.array_equal(pcm, frontend.load_wav(p)[0])
+    # the end of the file still has to fall on a sample boundary
+    streamed.write_bytes(streamed.read_bytes()[:-1])
+    with pytest.raises(frontend.WavFormatError, match="ends mid-sample"):
+        frontend.load_wav(streamed)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         frontend.FrontendConfig(n_mels=0)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eebnn import layers, modelio
+from eebnn import arch, layers, modelio
 from eebnn.layers import Mode
 
 EVAL = Mode()
@@ -300,3 +300,95 @@ def test_real_conv_backward_accumulates_weight_grads():
 def test_mode_is_frozen():
     with pytest.raises(Exception):
         EVAL.train = True
+
+
+# --- the blocked, in-place training step against its one-shot references -----
+
+# one sample per slice, the engine's budget, and several samples per slice
+BLOCK_BUDGETS = (1, layers._BLOCK_BYTES, 2**20)
+BATCHES = (1, 2, 5, 32)
+
+
+def _toy_conv_shapes():
+    """Each distinct (geometry, input H, W) of a toy_spec conv, over the four families."""
+    shapes = {}
+    for family in arch.FAMILIES:
+        model = arch.build(arch.toy_spec(family), seed=0)
+        shapes[(model.stem.geom, model.spec.input_shape[:2])] = None
+        for blk, hw in zip(model.blocks, model.block_hw):
+            for lay in blk.sublayers().values():
+                if isinstance(lay, layers.BinConv2d):
+                    shapes[(lay.geom, hw)] = None
+    return list(shapes)
+
+
+TOY_CONV_SHAPES = _toy_conv_shapes()
+
+
+def _conv_operands(rng, geom, hw, batch, surrogate):
+    """Input and weights as the engine passes them: float64 for the stem, else binarised."""
+    x = rng.uniform(-1.5, 1.5, (batch, *hw, geom.in_channels))
+    w = rng.uniform(-1.5, 1.5, (geom.out_channels, geom.kernel, geom.kernel, geom.in_channels))
+    if geom.stride == 2:  # the real-valued stem
+        return x, w, 0.0
+    return layers.binarized(x, surrogate), layers.binarized(w, surrogate), -1.0
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_conv_forward_matches_one_shot_reference(batch, monkeypatch):
+    rng = np.random.default_rng(batch)
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
+        for geom, hw in TOY_CONV_SHAPES:
+            # surrogate mode's float64 columns run whole; batch 32 of them is
+            # only memory, so it is checked up to batch 5
+            for surrogate in (False, True) if batch <= 5 else (False,):
+                x, w, pad = _conv_operands(rng, geom, hw, batch, surrogate)
+                y = layers._conv_forward(x, w, geom, pad)
+                assert y.dtype == np.float64
+                assert np.array_equal(y, oracles.conv_forward_reference(x, w, geom, pad)), (geom, hw)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_conv_input_grad_matches_reference(batch, monkeypatch):
+    rng = np.random.default_rng(100 + batch)
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
+        for geom, hw in TOY_CONV_SHAPES:
+            for surrogate in (False, True):
+                _, w, _ = _conv_operands(rng, geom, hw, 1, surrogate)
+                x_shape = (batch, *hw, geom.in_channels)
+                dy = rng.standard_normal((batch, *geom.out_hw(*hw), geom.out_channels))
+                dx = layers._conv_input_grad(dy, w, geom, x_shape)
+                ref = oracles.conv_input_grad_reference(dy, w, geom, x_shape)
+                assert np.array_equal(dx, ref), (geom, hw, surrogate)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batchnorm_train_step_matches_reference(batch):
+    """Outputs, running stats, cache and gradients, for a contiguous and a sliced dy."""
+    rng = np.random.default_rng(200 + batch)
+    bn_shapes = {(geom.out_hw(*hw), geom.out_channels) for geom, hw in TOY_CONV_SHAPES}
+    for hw, c in sorted(bn_shapes):
+        bns = [layers.BatchNorm(c) for _ in range(2)]
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c)
+        for bn in bns:
+            bn.gamma[:], bn.beta[:] = gamma, beta
+            bn.running_mean[:] = 0.25
+        x = rng.standard_normal((batch, *hw, c)) * 3.0 + 1.0
+        # a channel slice of a wider map, as the dense blocks pass it
+        dy_wide = rng.standard_normal((batch, *hw, c + 3))
+        for dy in (dy_wide[..., :c].copy(), dy_wide[..., 3:]):
+            for bn in bns:
+                bn.zero_grads()
+            y = bns[0].forward(x, TRAIN)
+            y_ref = oracles.batchnorm_forward_reference(bns[1], x, TRAIN)
+            assert np.array_equal(y, y_ref), (hw, c)
+            for name, buf in bns[0].buffers().items():
+                assert np.array_equal(buf, bns[1].buffers()[name]), name
+            (xhat, inv, axes), (xhat_ref, inv_ref, axes_ref) = bns[0]._cache, bns[1]._cache
+            assert np.array_equal(xhat, xhat_ref) and np.array_equal(inv, inv_ref) and axes == axes_ref
+            dx = bns[0].backward(dy)
+            assert np.array_equal(dx, oracles.batchnorm_backward_reference(bns[1], dy)), (hw, c)
+            for name, g in bns[0].grads.items():
+                assert np.array_equal(g, bns[1].grads[name]), name

@@ -207,6 +207,27 @@ def test_exit_accuracies_trained_model(trained_model, easy_dataset, feature_bank
     assert accs[-1] >= 0.9  # the fixture recipe reaches a confident final exit
 
 
+def test_exit_accuracies_do_not_depend_on_eval_batch_size(trained_model, easy_dataset, feature_bank,
+                                                          monkeypatch):
+    """The batch size is a speed knob only: same accuracies and same logits at 1, 8 and 32."""
+    indices = list(range(len(easy_dataset.samples)))[::3]  # 54 clips: ragged at 8 and 32
+    labels = [easy_dataset.samples[i].label for i in indices]
+    forward = trained_model.forward_train
+    accs, logits = {}, {}
+    for size in (1, 8, 32):
+        batches = []
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", size)
+        monkeypatch.setattr(trained_model, "forward_train",
+                            lambda xb, mode: batches.append(forward(xb, mode)) or batches[-1])
+        accs[size] = training.exit_accuracies(trained_model, feature_bank, indices, labels)
+        logits[size] = [np.concatenate([b[e] for b in batches]) for e in range(arch.N_EXITS)]
+        assert len(batches) == -(-len(indices) // size)
+    for size in (8, 32):
+        assert np.array_equal(accs[size], accs[1])
+        assert all(np.array_equal(a, b) for a, b in zip(logits[size], logits[1]))
+    assert accs[1][-1] >= 0.9
+
+
 def test_train_loop_featurizes_each_clip_once(monkeypatch):
     ds = data.synth_dataset(3, 10, seed=1)
     calls = []
