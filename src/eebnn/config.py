@@ -74,8 +74,8 @@ def load_config_file(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"{p}: not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be an object")

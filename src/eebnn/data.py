@@ -14,6 +14,7 @@ Datasets move between processes as a manifest CSV with columns
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,39 +172,48 @@ def load_manifest(manifest_path, expected_rate: int = SAMPLE_RATE) -> Dataset:
         raise DataError(f"manifest not found: {manifest}")
     base = manifest.parent
     samples = []
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("path", "label", "split")
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise DataError(f"manifest {manifest} must have columns path,label,split")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{manifest} line {lineno}"
-            missing = [k for k in required if row[k] is None]
-            if missing:
-                raise DataError(f"{where}: missing field {', '.join(missing)}")
-            if None in row:  # csv.DictReader's key for fields beyond the header
-                raise DataError(f"{where}: {len(row[None])} field(s) beyond the header's "
-                                f"{len(reader.fieldnames)}")
-            try:
-                label = int(row["label"])
-            except ValueError as e:
-                raise DataError(f"{where}: {e}") from e
-            if label < 0:
-                raise DataError(f"{where}: label {label} is negative")
-            if row["split"] not in ("train", "test"):
-                raise DataError(f"{where}: unknown split tag {row['split']!r}, expected train or test")
-            wav = base / row["path"]
-            if not wav.is_file():
-                raise DataError(f"{where}: missing WAV {wav}")
-            try:
-                pcm, _ = frontend.load_wav(wav, expected_rate=expected_rate)
-            except frontend.WavFormatError as e:
-                raise DataError(f"{where}: {e}") from e
-            tier = None
-            parts = Path(row["path"]).stem.split("_")
-            if len(parts) >= 2 and parts[1] in ("easy", "hard"):
-                tier = parts[1]
-            samples.append(Sample(pcm=pcm, label=label, split=row["split"], tier=tier, path=row["path"]))
+    raw = manifest.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw[: e.start].count(b"\n") + 1
+        raise DataError(f"{manifest} line {line}: not UTF-8 text: {e}") from e
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        fieldnames, rows = reader.fieldnames, list(reader)
+    except csv.Error as e:  # the DictReader's own line_num lags the failed line
+        raise DataError(f"{manifest} line {reader.reader.line_num}: {e}") from e
+    required = ("path", "label", "split")
+    if fieldnames is None or not set(required).issubset(fieldnames):
+        raise DataError(f"manifest {manifest} must have columns path,label,split")
+    for lineno, row in enumerate(rows, start=2):
+        where = f"{manifest} line {lineno}"
+        missing = [k for k in required if row[k] is None]
+        if missing:
+            raise DataError(f"{where}: missing field {', '.join(missing)}")
+        if None in row:  # csv.DictReader's key for fields beyond the header
+            raise DataError(f"{where}: {len(row[None])} field(s) beyond the header's "
+                            f"{len(fieldnames)}")
+        try:
+            label = int(row["label"])
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        if label < 0:
+            raise DataError(f"{where}: label {label} is negative")
+        if row["split"] not in ("train", "test"):
+            raise DataError(f"{where}: unknown split tag {row['split']!r}, expected train or test")
+        wav = base / row["path"]
+        if not wav.is_file():
+            raise DataError(f"{where}: missing WAV {wav}")
+        try:
+            pcm, _ = frontend.load_wav(wav, expected_rate=expected_rate)
+        except frontend.WavFormatError as e:
+            raise DataError(f"{where}: {e}") from e
+        tier = None
+        parts = Path(row["path"]).stem.split("_")
+        if len(parts) >= 2 and parts[1] in ("easy", "hard"):
+            tier = parts[1]
+        samples.append(Sample(pcm=pcm, label=label, split=row["split"], tier=tier, path=row["path"]))
     if not samples:
         raise DataError(f"manifest {manifest} lists no samples")
     n_classes = max(s.label for s in samples) + 1

@@ -153,6 +153,8 @@ def load_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
         raise WavFormatError(f"{path}: file ends inside the WAV header") from e
     except (OSError, wave.Error) as e:
         raise WavFormatError(f"{path}: {e}") from e
+    except RuntimeError as e:  # wave's bare error for a seek past the RIFF chunk's end
+        raise WavFormatError(f"{path}: a chunk size in the WAV header runs past the RIFF chunk") from e
     with wf:
         if wf.getcomptype() != "NONE":
             raise WavFormatError(f"{path}: compressed WAV ({wf.getcomptype()}) not supported")

@@ -26,7 +26,7 @@ conv loops run in batch slices whose working set fits `_BLOCK_BYTES`
 
 * the float32 forward of a binary conv runs im2col and its GEMM per slice;
   its sums are exact integers, so any split of the rows gives the same y.
-  Batch 1 is a single slice. Float64 input runs in one GEMM;
+  Batch 1 is a single slice. The stem's float64 input runs in one GEMM;
 * the input gradient runs its nine per-tap GEMMs per slice; each sample's
   rows meet the same weights and are added over the taps in the same order
   (this leans on BLAS computing a row the same way in any row count, which
@@ -40,17 +40,10 @@ whole. `tests/oracles.py` keeps the one-shot, out-of-place forms, and the
 tests hold the engine bit-identical to them.
 
 Each binary layer (`BinConv2d`, `ExitHead`) binarises its own input and
-its own latent weights, in one of two modes:
-
-* sign mode (the real thing, used for training and inference), which
-  yields float32 ±1 and whose backward applies the straight-through rule
-  to input and weights alike: gradients pass where the pre-binarisation
-  value lies in [-1, 1] and are zeroed outside;
-* surrogate mode, where sign is replaced by the float64 clipped identity so
-  the whole network becomes an ordinary differentiable function. The
-  backward code is identical in both modes; surrogate mode exists so that
-  the chain rule machinery can be validated end to end with finite
-  differences.
+its own latent weights with sign, to float32 ±1, in training and inference
+alike; its backward applies the straight-through rule to input and weights:
+gradients pass where the pre-binarisation value lies in [-1, 1] and are
+zeroed outside.
 """
 
 from __future__ import annotations
@@ -63,13 +56,10 @@ import numpy as np
 @dataclass(frozen=True)
 class Mode:
     train: bool = False
-    surrogate: bool = False
 
 
-def binarized(x: np.ndarray, surrogate: bool) -> np.ndarray:
-    """Sign as float32 ±1 (0 and -0.0 map to +1, NaN to -1), or float64 clip."""
-    if surrogate:
-        return np.clip(x, -1.0, 1.0, dtype=np.float64)
+def binarized(x: np.ndarray) -> np.ndarray:
+    """Sign as float32 ±1 (0 and -0.0 map to +1, NaN to -1)."""
     b = (x >= 0).astype(np.float32)
     b *= 2
     b -= 1
@@ -181,11 +171,12 @@ def _im2col(x, geom: ConvGeometry, pad_value: float, dtype=None):
 def _conv_forward(x, w, geom: ConvGeometry, pad_value: float):
     """im2col convolution; x (N,H,W,C), w (O,k,k,C); returns float64 y.
 
-    im2col and the GEMM run in x's dtype: float32 for sign-mode ±1 input,
-    where every sum is an exact integer, float64 otherwise. Exact sums do
-    not depend on how the rows are split, so float32 input runs in batch
-    slices whose columns fit `_BLOCK_BYTES` (one slice at batch 1); float64
-    input runs in one GEMM, whose sums keep their one-shot order.
+    im2col and the GEMM run in x's dtype: float32 for binarised ±1 input,
+    where every sum is an exact integer, and float64 for the real-valued
+    stem, its only float64 caller. Exact sums do not depend on how the rows
+    are split, so float32 input runs in batch slices whose columns fit
+    `_BLOCK_BYTES` (one slice at batch 1); float64 input runs in one GEMM,
+    whose sums keep their one-shot order.
     """
     n, h, wd, c = x.shape
     oh, ow = geom.out_hw(h, wd)
@@ -328,9 +319,9 @@ class BinConv2d(Layer):
     """Binary convolution: binarises its input and its weights, then convolves.
 
     The latent float weights are what the optimizer sees; the effective
-    weights are their sign (or clipped value in surrogate mode), and so is
-    the effective input. "Same" padding uses -1, the encoding of an absent
-    ±1 signal. The backward applies the straight-through rule to both.
+    weights are their sign, and so is the effective input. "Same" padding
+    uses -1, the encoding of an absent ±1 signal. The backward applies the
+    straight-through rule to both.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
@@ -346,19 +337,19 @@ class BinConv2d(Layer):
 
     def forward(self, x, mode: Mode):
         if mode.train:
-            self._cache = (x, mode.surrogate)
-        xb, wb = binarized(x, mode.surrogate), binarized(self.latent, mode.surrogate)
+            self._cache = x
+        xb, wb = binarized(x), binarized(self.latent)
         return _conv_forward(xb, wb, self.geom, -1.0)
 
     def backward(self, dy):
-        x, surrogate = self._take_cache()
+        x = self._take_cache()
         # rebuilt in float64: the values the forward's columns upcast to, so the
         # weight gradient is the same GEMM on the same operands
-        cols = _im2col(binarized(x, surrogate), self.geom, -1.0, np.float64)
+        cols = _im2col(binarized(x), self.geom, -1.0, np.float64)
         dw_eff = _conv_weight_grad(dy, cols, self.latent.shape)
         del cols  # released before the input gradient allocates its own
         self._accumulate("latent", dw_eff * ste_mask(self.latent))
-        dx = _conv_input_grad(dy, binarized(self.latent, surrogate), self.geom, x.shape)
+        dx = _conv_input_grad(dy, binarized(self.latent), self.geom, x.shape)
         dx *= ste_mask(x)
         return dx
 
@@ -366,14 +357,15 @@ class BinConv2d(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalisation over the (N, H, W) axes."""
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels):
         super().__init__()
         self.gamma = np.ones(channels, dtype=np.float32)
         self.beta = np.zeros(channels, dtype=np.float32)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.momentum = momentum
-        self.eps = eps
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -456,8 +448,8 @@ class ExitHead(Layer):
         """act is (N, H, W, C); returns logits (N, n_classes)."""
         hw = act.shape[1:3]
         pooled = act.mean(axis=(1, 2))
-        xb = binarized(pooled, mode.surrogate)
-        wb = binarized(self.latent, mode.surrogate)
+        xb = binarized(pooled)
+        wb = binarized(self.latent)
         ints = (xb @ wb.T).astype(np.float64, copy=False)
         logits = self.scale.astype(np.float64) * ints + self.bias.astype(np.float64)
         if mode.train:

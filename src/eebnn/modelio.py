@@ -286,7 +286,7 @@ def load_model(path) -> tuple[arch.Model, dict]:
         raise TruncatedError(f"{path}: header claims {header_len} bytes, file ends early")
     try:
         header = json.loads(raw[10 : 10 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"{path}: unreadable header: {e}") from e
     _check_header(header, path)
     blob_base = 10 + header_len

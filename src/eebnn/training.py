@@ -185,7 +185,7 @@ def exit_accuracies(model: arch.Model, bank: data.FeatureBank, indices, labels) 
     """
     labels = np.asarray(labels)
     correct = np.zeros(arch.N_EXITS)
-    mode = layers.Mode(train=False, surrogate=False)
+    mode = layers.Mode()
     for lo in range(0, len(indices), EVAL_BATCH_SIZE):
         idx = indices[lo : lo + EVAL_BATCH_SIZE]
         xb = bank.eval_batch(idx)
@@ -225,7 +225,7 @@ def train_loop(model: arch.Model, dataset: data.Dataset, cfg: TrainConfig,
             xb = bank.train_batch(chosen, rng)
             yb = labels[chosen]
             model.zero_grads()
-            logits = model.forward_train(xb, layers.Mode(train=True, surrogate=False))
+            logits = model.forward_train(xb, layers.Mode(train=True))
             loss, exit_losses, dlogits = _batch_losses(logits, yb, cfg.exit_weights)
             if not np.isfinite(loss):
                 raise TrainingDiverged(

@@ -159,6 +159,19 @@ def dense_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array([np.sum(x * w[u]) for u in range(w.shape[0])])
 
 
+# --- a differentiable stand-in for sign --------------------------------------
+
+
+def clip_binarized(x: np.ndarray) -> np.ndarray:
+    """The float64 clipped identity, patched over `eebnn.layers.binarized`.
+
+    With it every binary layer becomes an ordinary differentiable function
+    whose backward is the engine's own straight-through code, so finite
+    differences can check the chain rule end to end.
+    """
+    return np.clip(x, -1.0, 1.0, dtype=np.float64)
+
+
 # --- the training step, one-shot and out of place ---------------------------
 #
 # Each is a verbatim copy of an `eebnn.layers` routine before it was made

@@ -127,7 +127,7 @@ def test_criterion_3_threshold_boundaries(desk):
             f"{violations} monotonicity violations")
 
 
-def test_criterion_4_gradient_checks():
+def test_criterion_4_gradient_checks(monkeypatch):
     spec = arch.ArchSpec(family="quicknet", widths=(4, 6), blocks=(3, 3), n_classes=3,
                          input_shape=(12, 10, 1))
     model = arch.build(spec, seed=11)
@@ -135,40 +135,43 @@ def test_criterion_4_gradient_checks():
     rng = np.random.default_rng(23)
     xb = rng.uniform(-1.0, 1.0, (2, 12, 10, 1))
     labels = np.array([0, 2])
-    mode = layers.Mode(train=True, surrogate=True)
+    # finite differences need a differentiable network: sign patched to the float64 clip
+    with monkeypatch.context() as m:
+        m.setattr(layers, "binarized", oracles.clip_binarized)
+        mode = layers.Mode(train=True)
 
-    def loss():
+        def loss():
+            logits = model.forward_train(xb, mode)
+            total, _, _ = training._batch_losses(logits, labels, (1.0,) * 5)
+            return total
+
+        model.zero_grads()
         logits = model.forward_train(xb, mode)
-        total, _, _ = training._batch_losses(logits, labels, (1.0,) * 5)
-        return total
+        total, _, dlogits = training._batch_losses(logits, labels, (1.0,) * 5)
+        model.backward_train(dlogits)
 
-    model.zero_grads()
-    logits = model.forward_train(xb, mode)
-    total, _, dlogits = training._batch_losses(logits, labels, (1.0,) * 5)
-    model.backward_train(dlogits)
-
-    h = 1e-5
-    worst = 0.0
-    checked = 0
-    for path, lay, pname, arr, is_bin in model.named_params():
-        if is_bin:
-            continue
-        g = lay.grads[pname]
-        flat = arr.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = np.float32(float(orig) + h)
-            up = float(flat[i]) - float(orig)
-            lp = loss()
-            flat[i] = np.float32(float(orig) - h)
-            dn = float(orig) - float(flat[i])
-            lm = loss()
-            flat[i] = orig
-            fd = (lp - lm) / (up + dn)
-            rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
-            worst = max(worst, rel)
-            checked += 1
+        h = 1e-5
+        worst = 0.0
+        checked = 0
+        for path, lay, pname, arr, is_bin in model.named_params():
+            if is_bin:
+                continue
+            g = lay.grads[pname]
+            flat = arr.reshape(-1)
+            gflat = np.asarray(g).reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = np.float32(float(orig) + h)
+                up = float(flat[i]) - float(orig)
+                lp = loss()
+                flat[i] = np.float32(float(orig) - h)
+                dn = float(orig) - float(flat[i])
+                lm = loss()
+                flat[i] = orig
+                fd = (lp - lm) / (up + dn)
+                rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
+                worst = max(worst, rel)
+                checked += 1
 
     # exact zero gradient outside |latent| <= 1 under the sign backward
     model2 = arch.build(spec, seed=11)
@@ -176,7 +179,7 @@ def test_criterion_4_gradient_checks():
     conv.latent[0, 0, 0, 0] = 1.5
     conv.latent[0, 1, 1, 0] = -2.0
     model2.zero_grads()
-    logits = model2.forward_train(xb, layers.Mode(train=True, surrogate=False))
+    logits = model2.forward_train(xb, layers.Mode(train=True))
     _, _, dlogits = training._batch_losses(logits, labels, (1.0,) * 5)
     model2.backward_train(dlogits)
     gl = conv.grads["latent"]

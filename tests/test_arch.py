@@ -147,14 +147,16 @@ def test_prefix_matches_full_pass(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
-def test_backward_matches_finite_difference(family):
-    """Every family's backward, surrogate mode: the shortcut tiling on the 4 -> 6
-    width change, the dense concat split and the improvement conv included."""
+def test_backward_matches_finite_difference(family, monkeypatch):
+    """Every family's backward, with sign patched to the float64 clip: the shortcut
+    tiling on the 4 -> 6 width change, the dense concat split and the improvement
+    conv included."""
+    monkeypatch.setattr(layers, "binarized", oracles.clip_binarized)
     model = build(micro_spec(family), seed=11)
     rng = np.random.default_rng(23)
     xb = rng.uniform(-1.0, 1.0, (2, *MICRO_SHAPE))
     labels = np.array([0, 2])
-    mode = layers.Mode(train=True, surrogate=True)
+    mode = layers.Mode(train=True)
 
     def losses():
         return training._batch_losses(model.forward_train(xb, mode), labels, (1.0,) * 5)

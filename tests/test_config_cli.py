@@ -503,6 +503,73 @@ def test_eval_on_more_classes_than_the_model_exit_code_two(cli_model, tmp_path, 
     capsys.readouterr()
 
 
+def _damaged_wav(tmp_path):
+    """A valid 1 s clip whose `fmt ` chunk claims 0x003D0010 bytes, past the RIFF chunk."""
+    wav = tmp_path / "damaged.wav"
+    frontend.write_wav(wav, np.zeros(16000, dtype=np.float32), 16000)
+    raw = bytearray(wav.read_bytes())
+    raw[16:20] = (0x003D0010).to_bytes(4, "little")
+    wav.write_bytes(bytes(raw))
+    return wav
+
+
+def _manifest(tmp_path, row: bytes):
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"path,label,split\n" + row + b"\n")
+    return path
+
+
+def _deep_json_model(tmp_path):
+    path = tmp_path / "deep.eebnn"
+    header = b"[" * 200000
+    path.write_bytes(modelio.MAGIC + modelio.VERSION.to_bytes(2, "little")
+                     + len(header).to_bytes(4, "little") + header)
+    return path
+
+
+def _config(tmp_path, raw: bytes):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    return path
+
+
+# case -> builds (argv, exit code, what stderr must name) from tmp_path and the model
+DAMAGED_INPUTS = {
+    "wav": lambda tmp, model: (
+        ["features", "--wav", str(w := _damaged_wav(tmp)), "--out", str(tmp / "f.npy")], 2, [str(w)]),
+    "wav-in-manifest": lambda tmp, model: (
+        ["eval", "--manifest", str(m := _manifest(tmp, b"damaged.wav,0,test")),
+         "--model", str(model)], 2, [f"{m} line 2", str(_damaged_wav(tmp))]),
+    "manifest-long-field": lambda tmp, model: (
+        ["eval", "--manifest", str(m := _manifest(tmp, b"x" * 131073 + b",0,test")),
+         "--model", str(model)], 2, [f"{m} line 2"]),
+    "manifest-not-utf8": lambda tmp, model: (
+        ["eval", "--manifest", str(m := _manifest(tmp, b"caf\xe9.wav,0,test")),
+         "--model", str(model)], 2, [f"{m} line 2"]),
+    "model-header-deep-json": lambda tmp, model: (
+        ["bench", "--model", str(p := _deep_json_model(tmp))], 2, [str(p)]),
+    "config-deep-json": lambda tmp, model: (
+        ["features", "--config", str(c := _config(tmp, b"[" * 200000)), "--wav", "unused.wav",
+         "--out", str(tmp / "f.npy")], 1, [str(c)]),
+    "config-not-utf8": lambda tmp, model: (
+        ["features", "--config", str(c := _config(tmp, b'{"train": {"optimizer": "\xff"}}')),
+         "--wav", "unused.wav", "--out", str(tmp / "f.npy")], 1, [str(c)]),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_INPUTS)
+def test_damaged_input_is_an_error_naming_its_file(cli_model, tmp_path, capsys, case):
+    argv, code, named = DAMAGED_INPUTS[case](tmp_path, cli_model)
+    try:
+        got = cli(argv)
+    except Exception as e:  # the contract: nothing escapes cli
+        pytest.fail(f"{type(e).__name__} escaped cli: {e}")
+    err = capsys.readouterr().err
+    assert got == code, err
+    for text in named:
+        assert text in err, err
+
+
 # every config-bearing flag of a command at a non-default value:
 # flag -> (argv value, config path the sidecar records it under, value recorded)
 _DATA_FLAGS = {"--classes": ("2", "data.classes", 2), "--per-class": ("4", "data.per_class", 4),

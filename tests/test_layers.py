@@ -8,29 +8,29 @@ from eebnn.layers import Mode
 
 EVAL = Mode()
 TRAIN = Mode(train=True)
-SURR = Mode(train=True, surrogate=True)
 
 
 def test_binarized_sign_zero_positive():
     x = np.array([-2.0, -1e-9, 0.0, 1e-9, 2.0])
-    assert np.array_equal(layers.binarized(x, surrogate=False), [-1, -1, 1, 1, 1])
+    assert np.array_equal(layers.binarized(x), [-1, -1, 1, 1, 1])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_binarized_sign_is_float32_with_zero_and_nan_rules(dtype):
     x = np.array([-2.0, 0.0, -0.0, np.nan, 3.0], dtype=dtype)
-    b = layers.binarized(x, surrogate=False)
+    b = layers.binarized(x)
     assert b.dtype == np.float32
     # both zero signs map to +1; NaN fails x >= 0 and maps to -1
     assert np.array_equal(b, [-1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def test_binarized_surrogate_is_clip():
+    """The finite-difference tests' stand-in for sign, `oracles.clip_binarized`."""
     x = np.array([-3.0, -0.4, 0.0, 0.7, 5.0])
-    assert np.array_equal(layers.binarized(x, surrogate=True), [-1.0, -0.4, 0.0, 0.7, 1.0])
+    assert np.array_equal(oracles.clip_binarized(x), [-1.0, -0.4, 0.0, 0.7, 1.0])
     # float32 input (a latent weight) is clipped in float64
     x32 = x.astype(np.float32)
-    b = layers.binarized(x32, surrogate=True)
+    b = oracles.clip_binarized(x32)
     assert b.dtype == np.float64
     assert np.array_equal(b, np.clip(x32.astype(np.float64), -1.0, 1.0))
 
@@ -107,7 +107,7 @@ def test_binconv_float32_matches_bit_kernel_past_toy_widths():
     # 3x3x512 = 4608 terms per output, sums far past the toy models' widths
     rng = np.random.default_rng(29)
     conv = layers.BinConv2d(512, 8, 3, 1, "same", rng)
-    act = layers.binarized(rng.standard_normal((1, 5, 6, 512)), surrogate=False)
+    act = layers.binarized(rng.standard_normal((1, 5, 6, 512)))
     assert act.dtype == np.float32
     y = conv.forward(act, EVAL)
     assert y.dtype == np.float64
@@ -158,13 +158,13 @@ def test_bin_conv_binarizes_its_input_with_the_straight_through_backward():
     conv = layers.BinConv2d(2, 3, 3, 1, "same", rng)
     conv.latent[0, 1, 1, 0] = 1.5  # one latent outside the clip, so the weight STE zeroes it
     x = rng.standard_normal((3, 4, 4, 2)) * 2.0
-    xb = layers.binarized(x, surrogate=False)
+    xb = layers.binarized(x)
     np.testing.assert_array_equal(conv.forward(x, EVAL), conv.forward(xb, EVAL))
 
     y = conv.forward(x, TRAIN)
     dy = rng.standard_normal(y.shape)
     dx = conv.backward(dy)
-    wb = layers.binarized(conv.latent, surrogate=False)
+    wb = layers.binarized(conv.latent)
     dx_conv = layers._conv_input_grad(dy, wb, conv.geom, x.shape)
     outside = np.abs(x) > 1.0
     assert outside.any() and (~outside).any()
@@ -245,14 +245,15 @@ def test_batchnorm_backward_matches_finite_difference():
         np.testing.assert_allclose(dx[i], fd, rtol=1e-5, atol=1e-8)
 
 
-def test_exit_head_backward_matches_finite_difference():
+def test_exit_head_backward_matches_finite_difference(monkeypatch):
+    monkeypatch.setattr(layers, "binarized", oracles.clip_binarized)
     rng = np.random.default_rng(13)
     head = layers.ExitHead(6, 3, rng)
     act = rng.uniform(-0.8, 0.8, (2, 2, 2, 6))
     r = rng.standard_normal((2, 3))
 
     def loss():
-        return float((head.forward(act, SURR) * r).sum())
+        return float((head.forward(act, TRAIN) * r).sum())
 
     loss()
     head.zero_grads()
@@ -325,13 +326,15 @@ def _toy_conv_shapes():
 TOY_CONV_SHAPES = _toy_conv_shapes()
 
 
-def _conv_operands(rng, geom, hw, batch, surrogate):
-    """Input and weights as the engine passes them: float64 for the stem, else binarised."""
+def _conv_operands(rng, geom, hw, batch, clip):
+    """Input and weights as the engine passes them: float64 for the stem, else
+    binarised; `clip` binarises with the finite-difference tests' float64 clip."""
     x = rng.uniform(-1.5, 1.5, (batch, *hw, geom.in_channels))
     w = rng.uniform(-1.5, 1.5, (geom.out_channels, geom.kernel, geom.kernel, geom.in_channels))
     if geom.stride == 2:  # the real-valued stem
         return x, w, 0.0
-    return layers.binarized(x, surrogate), layers.binarized(w, surrogate), -1.0
+    binarize = oracles.clip_binarized if clip else layers.binarized
+    return binarize(x), binarize(w), -1.0
 
 
 @pytest.mark.parametrize("batch", BATCHES)
@@ -340,10 +343,10 @@ def test_conv_forward_matches_one_shot_reference(batch, monkeypatch):
     for budget in BLOCK_BUDGETS:
         monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
         for geom, hw in TOY_CONV_SHAPES:
-            # surrogate mode's float64 columns run whole; batch 32 of them is
+            # the clip's float64 columns run whole; batch 32 of them is
             # only memory, so it is checked up to batch 5
-            for surrogate in (False, True) if batch <= 5 else (False,):
-                x, w, pad = _conv_operands(rng, geom, hw, batch, surrogate)
+            for clip in (False, True) if batch <= 5 else (False,):
+                x, w, pad = _conv_operands(rng, geom, hw, batch, clip)
                 y = layers._conv_forward(x, w, geom, pad)
                 assert y.dtype == np.float64
                 assert np.array_equal(y, oracles.conv_forward_reference(x, w, geom, pad)), (geom, hw)
@@ -355,13 +358,13 @@ def test_conv_input_grad_matches_reference(batch, monkeypatch):
     for budget in BLOCK_BUDGETS:
         monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
         for geom, hw in TOY_CONV_SHAPES:
-            for surrogate in (False, True):
-                _, w, _ = _conv_operands(rng, geom, hw, 1, surrogate)
+            for clip in (False, True):
+                _, w, _ = _conv_operands(rng, geom, hw, 1, clip)
                 x_shape = (batch, *hw, geom.in_channels)
                 dy = rng.standard_normal((batch, *geom.out_hw(*hw), geom.out_channels))
                 dx = layers._conv_input_grad(dy, w, geom, x_shape)
                 ref = oracles.conv_input_grad_reference(dy, w, geom, x_shape)
-                assert np.array_equal(dx, ref), (geom, hw, surrogate)
+                assert np.array_equal(dx, ref), (geom, hw, clip)
 
 
 @pytest.mark.parametrize("batch", BATCHES)
