@@ -198,9 +198,8 @@ class MeliusBlock(DenseBlock):
 
     def forward(self, x, mode):
         y = super().forward(x, mode)
-        out = y.copy()  # conv2 keeps y in its training cache
-        out[..., self.in_channels:] += self.bn2.forward(self.conv2.forward(y, mode), mode)
-        return out
+        y[..., self.in_channels:] += self.bn2.forward(self.conv2.forward(y, mode), mode)
+        return y
 
     def backward(self, dy):
         ddelta = dy[..., self.in_channels:]

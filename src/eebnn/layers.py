@@ -3,11 +3,12 @@
 In train mode each layer caches its input-side state until its backward,
 which frees it; so instances are single-writer while training, and a
 backward without a train-mode forward before it raises. Convolutions cache
-their input, not its im2col columns, and rebuild the columns in backward,
-where the weight gradient needs them in float64 anyway. Eval mode writes no
-cache: inference is a plain function of the input and the current
-parameters. Parameters are stored as float32; real-valued activations and
-gradients are float64.
+no im2col columns. A binary conv caches what its backward reads: the ±1
+input its forward already built (float32) and the straight-through mask
+(bool), 5 bytes an element against the 8 of its float64 input; the stem
+caches its input. Eval mode writes no cache: inference is a plain function
+of the input and the current parameters. Parameters are stored as float32;
+real-valued activations and gradients are float64.
 
 Binary layers compute on ±1 values held as float32, not with XNOR/popcount
 over packed bits. A dot product of k·k·C ±1 values is an integer of
@@ -22,7 +23,8 @@ forward equal to XNOR/popcount kernels over them.
 
 A training step touches each large map as few times as it can, and the
 conv loops run in batch slices whose working set fits `_BLOCK_BYTES`
-(256 KiB, a core's L2 cache). Neither changes a bit:
+(256 KiB, a core's L2 cache) or, for a binary conv's weight gradient, one
+kernel tap at a time. None of it changes a bit:
 
 * the float32 forward of a binary conv runs im2col and its GEMM per slice;
   its sums are exact integers, so any split of the rows gives the same y.
@@ -33,11 +35,16 @@ conv loops run in batch slices whose working set fits `_BLOCK_BYTES`
   the tests check on the host they run on);
 * batch-norm centres its input once, takes the variance from that map
   with `np.var`'s own steps, and normalises and back-propagates in place,
-  in the original order of operations.
+  in the original order of operations;
+* the weight gradient of a binary conv builds its float64 columns one
+  kernel tap at a time, 1/(k·k) of their whole size, and still reduces
+  each sum over all rows in one GEMM; only the GEMM's column count changes
+  (this leans on BLAS running the same kernel for either count, which
+  `_conv_weight_grad` arranges and the tests check).
 
-The weight gradient reduces over the rows, so its float64 columns stay
-whole. `tests/oracles.py` keeps the one-shot, out-of-place forms, and the
-tests hold the engine bit-identical to them.
+`tests/oracles.py` keeps the one-shot, out-of-place forms, with whole
+weight-gradient columns, and the tests hold the engine bit-identical to
+them.
 
 Each binary layer (`BinConv2d`, `ExitHead`) binarises its own input and
 its own latent weights with sign, to float32 ±1, in training and inference
@@ -67,7 +74,8 @@ def binarized(x: np.ndarray) -> np.ndarray:
 
 
 def ste_mask(x: np.ndarray) -> np.ndarray:
-    return (np.abs(x) <= 1.0).astype(np.float64)
+    """Where the straight-through rule passes gradient, |x| <= 1, as bool."""
+    return np.abs(x) <= 1.0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -147,24 +155,25 @@ def _block_samples(bytes_per_sample: int) -> int:
     return max(1, _BLOCK_BYTES // bytes_per_sample)
 
 
-def _im2col(x, geom: ConvGeometry, pad_value: float, dtype=None):
-    """Columns (N·oh·ow, k·k·C) of x (N,H,W,C), padded with pad_value.
+def _padded(x, geom: ConvGeometry, pad_value: float):
+    """x (N,H,W,C) padded with pad_value for the geometry, in x's dtype (x itself if unpadded)."""
+    n, h, wd, c = x.shape
+    pt, pb, pl, pr = geom.pad_amounts(h, wd)
+    if not (pt or pb or pl or pr):
+        return x
+    xp = np.full((n, h + pt + pb, wd + pl + pr, c), pad_value, dtype=x.dtype)
+    xp[:, pt : pt + h, pl : pl + wd] = x
+    return xp
 
-    They are in `dtype`, by default x's; a wider dtype is cast during the
-    one gather, not in a second pass over the columns.
-    """
+
+def _im2col(x, geom: ConvGeometry, pad_value: float):
+    """Columns (N·oh·ow, k·k·C) of x (N,H,W,C), padded with pad_value."""
     n, h, wd, c = x.shape
     k = geom.kernel
-    pt, pb, pl, pr = geom.pad_amounts(h, wd)
     oh, ow = geom.out_hw(h, wd)
-    if pt or pb or pl or pr:
-        xp = np.full((n, h + pt + pb, wd + pl + pr, c), pad_value, dtype=x.dtype)
-        xp[:, pt : pt + h, pl : pl + wd] = x
-    else:
-        xp = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = np.lib.stride_tricks.sliding_window_view(_padded(x, geom, pad_value), (k, k), axis=(1, 2))
     win = win[:, :: geom.stride, :: geom.stride]  # (N, oh, ow, C, k, k)
-    cols = np.asarray(win.transpose(0, 1, 2, 4, 5, 3), dtype=dtype, order="C")
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
     return cols.reshape(n * oh * ow, k * k * c)
 
 
@@ -191,10 +200,36 @@ def _conv_forward(x, w, geom: ConvGeometry, pad_value: float):
     return y
 
 
-def _conv_weight_grad(dy, cols, w_shape):
-    """dL/dw (O,k,k,C) from the output gradient and the im2col columns of the input."""
-    o = w_shape[0]
-    return (dy.reshape(-1, o).T @ cols).reshape(w_shape)
+# OpenBLAS runs a GEMM of at most 100**3 multiply-adds in its small-matrix
+# kernels, which sum in another order than its blocked kernels do.
+_SMALL_GEMM_MACS = 100**3
+
+
+def _conv_weight_grad(dy, x, geom: ConvGeometry, pad_value: float):
+    """dL/dw (O,k,k,C) from the output gradient and the input x (N,H,W,C).
+
+    One GEMM per kernel tap reduces over all N·oh·ow rows, as one GEMM over
+    the whole float64 im2col columns would; each tap's (N·oh·ow, C) window
+    is copied, in float64, into one buffer that every tap reuses. Only the
+    GEMM's column count changes, which keeps each sum's order where BLAS
+    runs the same kernel for C columns as for k·k·C (the tests check it).
+    Whole columns stay where it would not: C = 1, a matrix-vector product
+    (gemv), and a tap GEMM small enough for the small-matrix kernels.
+    """
+    n, h, wd, c = x.shape
+    o, k, s = dy.shape[-1], geom.kernel, geom.stride
+    dyt = dy.reshape(-1, o).T
+    if c == 1 or dyt.size * c <= _SMALL_GEMM_MACS:
+        return (dyt @ _im2col(x, geom, pad_value)).reshape(o, k, k, c)
+    oh, ow = geom.out_hw(h, wd)
+    xp = _padded(x, geom, pad_value)
+    tap = np.empty((n, oh, ow, c))
+    dw = np.empty((o, k, k, c))
+    for i in range(k):
+        for j in range(k):
+            tap[...] = xp[:, i : i + oh * s : s, j : j + ow * s : s]
+            dw[:, i, j, :] = dyt @ tap.reshape(-1, c)
+    return dw
 
 
 def _conv_input_grad(dy, w, geom: ConvGeometry, x_shape):
@@ -291,7 +326,10 @@ class RealConv2d(Layer):
     """Float-weight convolution (used for the stem). No bias; BN follows.
 
     Its input is the network input, so backward computes the weight
-    gradient only.
+    gradient only, on whole im2col columns: with one input channel a
+    tap's product would be a matrix-vector one, which BLAS sends to gemv
+    and sums in another order than the whole-column GEMM. Its columns are
+    small (k·k values a pixel).
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
@@ -312,7 +350,7 @@ class RealConv2d(Layer):
 
     def backward(self, dy) -> None:
         x = self._take_cache()
-        self._accumulate("w", _conv_weight_grad(dy, _im2col(x, self.geom, 0.0, np.float64), self.w.shape))
+        self._accumulate("w", _conv_weight_grad(dy, x, self.geom, 0.0))
 
 
 class BinConv2d(Layer):
@@ -321,7 +359,8 @@ class BinConv2d(Layer):
     The latent float weights are what the optimizer sees; the effective
     weights are their sign, and so is the effective input. "Same" padding
     uses -1, the encoding of an absent ±1 signal. The backward applies the
-    straight-through rule to both.
+    straight-through rule to both; a train-mode forward caches the ±1 input
+    and the input's mask for it, not the input.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
@@ -336,21 +375,18 @@ class BinConv2d(Layer):
         return {"latent"}
 
     def forward(self, x, mode: Mode):
-        if mode.train:
-            self._cache = x
         xb, wb = binarized(x), binarized(self.latent)
+        if mode.train:
+            self._cache = (xb, ste_mask(x))
         return _conv_forward(xb, wb, self.geom, -1.0)
 
     def backward(self, dy):
-        x = self._take_cache()
-        # rebuilt in float64: the values the forward's columns upcast to, so the
-        # weight gradient is the same GEMM on the same operands
-        cols = _im2col(binarized(x), self.geom, -1.0, np.float64)
-        dw_eff = _conv_weight_grad(dy, cols, self.latent.shape)
-        del cols  # released before the input gradient allocates its own
+        xb, mask = self._take_cache()
+        dw_eff = _conv_weight_grad(dy, xb, self.geom, -1.0)
         self._accumulate("latent", dw_eff * ste_mask(self.latent))
-        dx = _conv_input_grad(dy, binarized(self.latent), self.geom, x.shape)
-        dx *= ste_mask(x)
+        del xb  # released before the input gradient allocates its own
+        dx = _conv_input_grad(dy, binarized(self.latent), self.geom, mask.shape)
+        dx *= mask
         return dx
 
 

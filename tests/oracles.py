@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from eebnn import arch, layers
 from eebnn.layers import BatchNorm, ConvGeometry, Mode, _im2col
 from eebnn.modelio import WORD_BITS, BitTensor, _word_count
 
@@ -174,8 +175,11 @@ def clip_binarized(x: np.ndarray) -> np.ndarray:
 
 # --- the training step, one-shot and out of place ---------------------------
 #
-# Each is a verbatim copy of an `eebnn.layers` routine before it was made
-# batch-blocked or in place. `tests/test_layers.py` holds the engine
+# Each is a copy of an engine routine before it was made batch-blocked or in
+# place, or, for the weight gradient and the last three, before a binary conv
+# cached its ±1 input and built its weight-gradient columns one tap at a time
+# (their one edit: the float64 columns are cast after the gather, as
+# `_im2col` no longer takes a dtype). `tests/test_layers.py` holds the engine
 # bit-identical to them layer by layer, and `tests/test_training_identity.py`
 # trains with them patched in.
 
@@ -191,6 +195,12 @@ def conv_forward_reference(x, w, geom: ConvGeometry, pad_value: float):
     o = w.shape[0]
     y = _im2col(x, geom, pad_value) @ w.reshape(o, -1).T
     return y.astype(np.float64, copy=False).reshape(n, oh, ow, o)
+
+
+def conv_weight_grad_reference(dy, cols, w_shape):
+    """dL/dw (O,k,k,C) from the output gradient and the im2col columns of the input."""
+    o = w_shape[0]
+    return (dy.reshape(-1, o).T @ cols).reshape(w_shape)
 
 
 def conv_input_grad_reference(dy, w, geom: ConvGeometry, x_shape):
@@ -242,3 +252,33 @@ def batchnorm_backward_reference(self: BatchNorm, dy):
     m = np.prod([xhat.shape[a] for a in axes])
     dxhat = dy * self.gamma.astype(np.float64)
     return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
+
+
+def binconv_forward_reference(self: layers.BinConv2d, x, mode: Mode):
+    """`BinConv2d.forward` caching its float64 input: a method, so it can stand in for the engine's."""
+    if mode.train:
+        self._cache = x
+    xb, wb = layers.binarized(x), layers.binarized(self.latent)
+    return layers._conv_forward(xb, wb, self.geom, -1.0)
+
+
+def binconv_backward_reference(self: layers.BinConv2d, dy):
+    """`BinConv2d.backward` on whole float64 im2col columns of the re-binarised input."""
+    x = self._take_cache()
+    # rebuilt in float64: the values the forward's columns upcast to, so the
+    # weight gradient is the same GEMM on the same operands
+    cols = _im2col(layers.binarized(x), self.geom, -1.0).astype(np.float64)
+    dw_eff = conv_weight_grad_reference(dy, cols, self.latent.shape)
+    del cols  # released before the input gradient allocates its own
+    self._accumulate("latent", dw_eff * layers.ste_mask(self.latent))
+    dx = layers._conv_input_grad(dy, layers.binarized(self.latent), self.geom, x.shape)
+    dx *= layers.ste_mask(x)
+    return dx
+
+
+def melius_forward_reference(self: arch.MeliusBlock, x, mode: Mode):
+    """`MeliusBlock.forward` with its copy, for a conv2 that caches the map it reads."""
+    y = arch.DenseBlock.forward(self, x, mode)
+    out = y.copy()  # conv2 keeps y in its training cache
+    out[..., self.in_channels:] += self.bn2.forward(self.conv2.forward(y, mode), mode)
+    return out

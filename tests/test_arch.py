@@ -243,6 +243,28 @@ def test_training_step_traced_peak_stays_below_cached_columns():
     assert peak < 40 * 2**20
 
 
+# MiB; each bound sits between the traced peak of a batch-8 step when a binary
+# conv cached its float64 input and built whole float64 weight-gradient
+# columns (27, 27, 51 and 79 MiB) and when it caches its float32 ±1 input and
+# bool STE mask and builds one tap's columns at a time (13, 13, 23 and 38 MiB)
+STEP_PEAK_BOUNDS = {"quicknet": 20, "birealnet": 20, "binarydensenet": 36, "meliusnet": 58}
+
+
+@pytest.mark.parametrize("family", list(STEP_PEAK_BOUNDS))
+def test_training_step_traced_peak_per_family(family):
+    model = build(toy_spec(family), seed=0)
+    xb = np.random.default_rng(1).standard_normal((8, *model.spec.input_shape))
+    labels = np.arange(8) % 6
+    _train_step(model, xb, labels)
+    tracemalloc.start()
+    try:
+        _train_step(model, xb, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STEP_PEAK_BOUNDS[family] * 2**20
+
+
 @pytest.mark.parametrize("family", ["quicknet", "birealnet", "binarydensenet", "meliusnet"])
 def test_executed_macs_match_bookkeeping(family, monkeypatch):
     """The MACs of the GEMMs that actually run, against exit_costs, total_macs and records."""

@@ -85,7 +85,7 @@ def test_conv_backward_adjoint_identity():
         y0 = layers._conv_forward(np.zeros_like(x), w, geom, -1.0)
         dy = rng.standard_normal(y.shape)
         dx = layers._conv_input_grad(dy, w, geom, x.shape)
-        dw = layers._conv_weight_grad(dy, layers._im2col(x, geom, -1.0), w.shape)
+        dw = layers._conv_weight_grad(dy, x, geom, -1.0)
         # linear-in-x part excludes the constant pad contribution
         np.testing.assert_allclose(np.vdot(dy, y - y0), np.vdot(dx, x), rtol=1e-10)
         # conv is exactly linear in w
@@ -174,7 +174,7 @@ def test_bin_conv_binarizes_its_input_with_the_straight_through_backward():
     # the latent gradient: the forward's float32 ±1 columns, upcast by the GEMM
     cols = _hand_built_columns(xb, 3)
     assert cols.dtype == np.float32
-    dw_eff = layers._conv_weight_grad(dy, cols, conv.latent.shape)
+    dw_eff = oracles.conv_weight_grad_reference(dy, cols, conv.latent.shape)
     mask = layers.ste_mask(conv.latent)
     assert mask[0, 1, 1, 0] == 0.0 and dw_eff[0, 1, 1, 0] != 0.0
     np.testing.assert_array_equal(conv.grads["latent"], dw_eff * mask)
@@ -365,6 +365,19 @@ def test_conv_input_grad_matches_reference(batch, monkeypatch):
                 dx = layers._conv_input_grad(dy, w, geom, x_shape)
                 ref = oracles.conv_input_grad_reference(dy, w, geom, x_shape)
                 assert np.array_equal(dx, ref), (geom, hw, clip)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_conv_weight_grad_matches_whole_columns(batch):
+    """Per-tap columns give the bits of one GEMM over the whole float64 columns."""
+    rng = np.random.default_rng(300 + batch)
+    for geom, hw in TOY_CONV_SHAPES:
+        for clip in (False, True):
+            x, w, pad = _conv_operands(rng, geom, hw, batch, clip)
+            dy = rng.standard_normal((batch, *geom.out_hw(*hw), geom.out_channels))
+            dw = layers._conv_weight_grad(dy, x, geom, pad)
+            cols = layers._im2col(x, geom, pad).astype(np.float64)
+            assert np.array_equal(dw, oracles.conv_weight_grad_reference(dy, cols, w.shape)), (geom, hw, clip)
 
 
 @pytest.mark.parametrize("batch", BATCHES)

@@ -16,6 +16,9 @@ REFERENCES = [
     (layers, "_conv_input_grad", oracles.conv_input_grad_reference),
     (layers.BatchNorm, "forward", oracles.batchnorm_forward_reference),
     (layers.BatchNorm, "backward", oracles.batchnorm_backward_reference),
+    (layers.BinConv2d, "forward", oracles.binconv_forward_reference),
+    (layers.BinConv2d, "backward", oracles.binconv_backward_reference),
+    (arch.MeliusBlock, "forward", oracles.melius_forward_reference),
 ]
 
 
