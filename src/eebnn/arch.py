@@ -121,9 +121,6 @@ class QuickBlock:
     def sublayers(self):
         return {"conv": self.conv, "bn": self.bn}
 
-    def conv_macs(self, h, w):
-        return self.conv.geom.macs(h, w)
-
     def forward(self, x, mode):
         return self.bn.forward(self.conv.forward(x, mode), mode)
 
@@ -193,9 +190,6 @@ class MeliusBlock(DenseBlock):
     def sublayers(self):
         return {"conv1": self.conv, "bn1": self.bn, "conv2": self.conv2, "bn2": self.bn2}
 
-    def conv_macs(self, h, w):
-        return super().conv_macs(h, w) + self.conv2.geom.macs(h, w)
-
     def forward(self, x, mode):
         y = super().forward(x, mode)
         y[..., self.in_channels:] += self.bn2.forward(self.conv2.forward(y, mode), mode)
@@ -243,7 +237,8 @@ class Model:
                     h, w = math.ceil(h / 2), math.ceil(w / 2)
                 blk = BLOCK_TYPES[spec.family](c, width, rng)
                 self.blocks.append(blk)
-                self.block_macs.append(blk.conv_macs(h, w))
+                self.block_macs.append(sum(lay.geom.macs(h, w) for lay in blk.sublayers().values()
+                                           if isinstance(lay, layers.BinConv2d)))
                 self.block_hw.append((h, w))
                 c = blk.out_channels
         self.block_channels = [b.out_channels for b in self.blocks]

@@ -22,7 +22,6 @@ for a fixed argv and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -41,18 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _csv_floats(text):
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _csv_ints(text):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+def _csv_of(kind):
+    """An argparse type: comma-separated `kind` values (int or float) as a tuple."""
+    def parse(text):
+        try:
+            return tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            raise UsageError(f"expected comma-separated {kind.__name__} values, got {text!r}")
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -80,14 +75,14 @@ def _build_parser() -> _Parser:
     add_dataset(sp)
     sp.add_argument("--seed", dest="train.seed", type=int, help="model init and shuffle seed")
     sp.add_argument("--family", dest="arch.family", choices=arch.FAMILIES)
-    sp.add_argument("--widths", dest="arch.widths", type=_csv_ints)
-    sp.add_argument("--blocks", dest="arch.blocks", type=_csv_ints)
-    sp.add_argument("--placements", dest="arch.exit_placements", type=_csv_ints)
+    sp.add_argument("--widths", dest="arch.widths", type=_csv_of(int))
+    sp.add_argument("--blocks", dest="arch.blocks", type=_csv_of(int))
+    sp.add_argument("--placements", dest="arch.exit_placements", type=_csv_of(int))
     sp.add_argument("--optimizer", dest="train.optimizer", choices=training.OPTIMIZERS)
     sp.add_argument("--lr", dest="train.lr", type=float)
     sp.add_argument("--batch-size", dest="train.batch_size", type=int)
     sp.add_argument("--epochs", dest="train.epochs", type=int)
-    sp.add_argument("--exit-weights", dest="train.exit_weights", type=_csv_floats)
+    sp.add_argument("--exit-weights", dest="train.exit_weights", type=_csv_of(float))
     sp.add_argument("--out", required=True, help="output model file")
 
     sp = sub.add_parser("eval", help="evaluate a model")
@@ -105,7 +100,7 @@ def _build_parser() -> _Parser:
     add_common(sp)
     add_dataset(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--deltas", dest="sweep.deltas", type=_csv_floats)
+    sp.add_argument("--deltas", dest="sweep.deltas", type=_csv_of(float))
     sp.add_argument("--out", required=True, help="output CSV; JSONL written alongside")
 
     sp = sub.add_parser("per-class", help="per-class exit histogram")
@@ -178,15 +173,6 @@ def _out_path(path) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
-
-
-@contextlib.contextmanager
-def _clip_errors(path):
-    """A clip the front-end rejects is a data error naming its file, as in `data.FeatureBank`."""
-    try:
-        yield
-    except ValueError as e:
-        raise data.DataError(f"{path}: {e}") from e
 
 
 def _cmd_train(args) -> int:
@@ -291,11 +277,11 @@ def _cmd_bench(args) -> int:
     model, _ = modelio.load_model(args.model)
     if args.wav:
         pcm, _ = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
+        data.clip_features(pcm, rc["frontend"], args.wav)  # a rejected clip fails naming its file
     else:
         t = np.arange(rc["frontend"].sample_rate) / rc["frontend"].sample_rate
         pcm = (0.5 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32)
-    with _clip_errors(args.wav):  # the tone is long enough; only a --wav clip can be rejected
-        table = evaluation.bench_exits(model, pcm, repeats=args.repeats, fe_cfg=rc["frontend"])
+    table = evaluation.bench_exits(model, pcm, repeats=args.repeats, fe_cfg=rc["frontend"])
     print("exit  macs          median_ms  iqr_ms")
     for r in table:
         print(f"{r['exit']:>4}  {r['macs']:<12}  {r['median_ms']:9.3f}  {r['iqr_ms']:6.3f}")
@@ -310,13 +296,12 @@ def _cmd_bench(args) -> int:
 def _cmd_features(args) -> int:
     rc = config.resolve(_merged(args))
     pcm, rate = frontend.load_wav(args.wav, expected_rate=rc["frontend"].sample_rate)
-    with _clip_errors(args.wav):
-        feat = frontend.featurize(pcm, rc["frontend"])
+    feat = data.clip_features(pcm, rc["frontend"], args.wav).astype(np.float32)
     out = _out_path(args.out)
-    np.save(out, feat.data)
+    np.save(out, feat)
     config.write_resolved(rc["resolved"], out)
-    print(f"{args.wav}: {len(pcm)} samples at {rate} Hz -> features {feat.data.shape} "
-          f"({feat.duration_ms:.0f} ms); wrote {out}")
+    print(f"{args.wav}: {len(pcm)} samples at {rate} Hz -> features {feat.shape} "
+          f"({1000.0 * len(pcm) / rate:.0f} ms); wrote {out}")
     return 0
 
 
@@ -326,8 +311,8 @@ def _cmd_synth_data(args) -> int:
     out = Path(args.out)
     manifest = data.write_manifest(ds, out)
     config.write_resolved(rc["resolved"], manifest)
-    n_train = len(ds.split("train"))
-    n_test = len(ds.split("test"))
+    n_train = len(ds.indices("train"))
+    n_test = len(ds.indices("test"))
     print(f"wrote {len(ds.samples)} clips ({n_train} train / {n_test} test) under {out}")
     print(f"manifest: {manifest}")
     return 0

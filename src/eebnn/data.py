@@ -9,6 +9,8 @@ noise floor.
 
 Datasets move between processes as a manifest CSV with columns
 `path,label,split` plus WAV files referenced relative to the CSV.
+`Dataset.indices` gives a split's sample positions; `clip_features` is the
+one place a clip becomes whole-clip features, or a DataError naming its source.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class Dataset:
             if s.split not in ("train", "test"):
                 raise DataError(f"unknown split tag {s.split!r}")
 
-    def split(self, tag: str) -> list[Sample]:
-        return [s for s in self.samples if s.split == tag]
+    def indices(self, split: str) -> list[int]:
+        """Positions of the samples tagged `split`, in dataset order."""
+        return [i for i, s in enumerate(self.samples) if s.split == split]
 
 
 def _signature_wave(kind: str, f0: float, n: int, rate: int, rng) -> np.ndarray:
@@ -217,13 +220,18 @@ def load_manifest(manifest_path, expected_rate: int = SAMPLE_RATE) -> Dataset:
     if not samples:
         raise DataError(f"manifest {manifest} lists no samples")
     n_classes = max(s.label for s in samples) + 1
-    try:
-        return Dataset(tuple(samples), n_classes, name=manifest.parent.name)
-    except DataError as e:
-        raise DataError(f"manifest {manifest}: {e}") from e
+    return Dataset(tuple(samples), n_classes, name=manifest.parent.name)
 
 
 # --- feature caching --------------------------------------------------------------
+
+
+def clip_features(pcm, cfg: frontend.FrontendConfig, source) -> np.ndarray:
+    """Whole-clip float64 features; a clip the front-end rejects is a DataError naming `source`."""
+    try:
+        return frontend.featurize(pcm, cfg).data.astype(np.float64)
+    except ValueError as e:
+        raise DataError(f"{source}: {e}") from e
 
 
 def fit_frames(feat: np.ndarray, n_frames: int, log_floor: float = 1e-6) -> np.ndarray:
@@ -256,14 +264,9 @@ class FeatureBank:
         self._clips: dict[int, np.ndarray] = {}
 
     def _clip(self, i: int) -> np.ndarray:
-        """Whole-clip features of sample i; a clip the front-end rejects
-        raises DataError naming its file."""
         if i not in self._clips:
             s = self.dataset.samples[i]
-            try:
-                self._clips[i] = frontend.featurize(s.pcm, self.cfg).data.astype(np.float64)
-            except ValueError as e:
-                raise DataError(f"{s.path or f'sample {i}'}: {e}") from e
+            self._clips[i] = clip_features(s.pcm, self.cfg, s.path or f"sample {i}")
         return self._clips[i]
 
     def eval_feature(self, i: int) -> np.ndarray:

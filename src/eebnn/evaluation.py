@@ -3,7 +3,7 @@ histograms, per-exit accuracy tables, and latency micro-benchmarks.
 
 Every aggregate is computed from per-sample ExitRecords that are kept (and
 can be persisted as JSON lines), so any figure can be re-derived without
-re-running inference. CSV headers are fixed:
+re-running inference. `_write_csv` writes each CSV with a fixed header:
 
 * sweep: delta,accuracy,mean_exit,frac_exit1,...,frac_exit5,mean_macs,mean_ms
 * per-class: class,n,frac_exit1,...,frac_exit5,mean_exit
@@ -93,7 +93,7 @@ def held_out_features(model, dataset, bank=None):
     """The feature bank and the test-split indices; DataError if there are none."""
     if bank is None:
         bank = data.FeatureBank(dataset, n_frames=model.spec.input_shape[0])
-    idx = [i for i, s in enumerate(dataset.samples) if s.split == "test"]
+    idx = dataset.indices("test")
     if not idx:
         raise data.DataError("dataset has no test split")
     return bank, idx
@@ -207,9 +207,9 @@ def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
     """Median/IQR latency of each fixed exit (`runtime.infer_fixed_exit`).
 
     `signal` may be raw PCM (1-d), in which case each timed run includes the
-    front-end and crops or pads the features to the model's frame count as
-    `data.FeatureBank` does, or a precomputed feature (2-d) to time the
-    network alone.
+    front-end (`data.clip_features`) and crops or pads the features to the
+    model's frame count as `data.FeatureBank` does, or a precomputed feature
+    (2-d) to time the network alone.
     Repeats are interleaved round-robin across exits so clock drift hits all
     exits equally.
     """
@@ -222,8 +222,8 @@ def bench_exits(model: arch.Model, signal, repeats: int = 30, warmup: int = 5,
     def run(exit_index):
         t0 = time.perf_counter()
         if include_frontend:
-            feat = frontend.featurize(signal, fe_cfg).data.astype(np.float64)
-            feat = data.fit_frames(feat, model.spec.input_shape[0], fe_cfg.log_floor)
+            feat = data.fit_frames(data.clip_features(signal, fe_cfg, "signal"),
+                                   model.spec.input_shape[0], fe_cfg.log_floor)
         else:
             feat = signal
         runtime.infer_fixed_exit(model, feat, exit_index)
@@ -272,14 +272,18 @@ def exit_generalization_table(model: arch.Model, dataset: data.Dataset,
 # --- persistence -------------------------------------------------------------------
 
 
-def write_sweep_csv(sw: SweepResult, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: the header row, then the rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SWEEP_CSV_HEADER.split(","))
-        for r in sw.rows:
-            w.writerow(
-                [r.delta, r.accuracy, r.mean_exit, *r.fractions, r.mean_macs, r.mean_ms]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_sweep_csv(sw: SweepResult, path) -> None:
+    _write_csv(path, SWEEP_CSV_HEADER.split(","),
+               ([r.delta, r.accuracy, r.mean_exit, *r.fractions, r.mean_macs, r.mean_ms]
+                for r in sw.rows))
 
 
 def write_records_jsonl(path, records_by_delta, *, model: str, dataset: str, rule: str) -> None:
@@ -314,40 +318,28 @@ def read_records_jsonl(path) -> list[dict]:
 
 
 def write_per_class_csv(stats: PerClassExitStats, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "n", *(f"frac_exit{e}" for e in range(1, arch.N_EXITS + 1)),
-                    "mean_exit"])
-        for c in range(stats.counts.shape[0]):
-            n = int(stats.counts[c].sum())
-            fr = ["" if np.isnan(v) else v for v in stats.fractions[c]]
-            me = stats.mean_exit(c)
-            w.writerow([c, n, *fr, "" if np.isnan(me) else me])
+    """A class with no test clips gets empty fraction and mean_exit cells."""
+    _write_csv(path, ["class", "n", *(f"frac_exit{e}" for e in range(1, arch.N_EXITS + 1)),
+                      "mean_exit"],
+               ([c, int(stats.counts[c].sum()),
+                 *("" if np.isnan(v) else v for v in (*stats.fractions[c], stats.mean_exit(c)))]
+                for c in range(stats.counts.shape[0])))
 
 
 def write_bench_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["exit", "macs", "median_ms", "iqr_ms", "repeats"])
-        for r in rows:
-            w.writerow([r["exit"], r["macs"], r["median_ms"], r["iqr_ms"], r["repeats"]])
+    cols = ("exit", "macs", "median_ms", "iqr_ms", "repeats")
+    _write_csv(path, cols, ([r[c] for c in cols] for r in rows))
 
 
 def write_curve_csv(points: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "delta", "mean_exit", "accuracy", "baseline_accuracy"])
-        for p in points:
-            w.writerow([p["model"], p["delta"], p["mean_exit"], p["accuracy"],
-                        p["baseline_accuracy"]])
+    cols = ("model", "delta", "mean_exit", "accuracy", "baseline_accuracy")
+    _write_csv(path, cols, ([p[c] for c in cols] for p in points))
 
 
 def write_history_csv(history: list[dict], path) -> None:
     """One row per training epoch of `training.train_loop`'s history."""
     exits = range(1, arch.N_EXITS + 1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", *(f"{col}{e}" for col in ("exit_loss", "train_acc", "test_acc")
-                                       for e in exits)])
-        for r in history:
-            w.writerow([r["epoch"], r["loss"], *r["exit_losses"], *r["train_acc"], *r["test_acc"]])
+    _write_csv(path, ["epoch", "loss", *(f"{col}{e}" for col in ("exit_loss", "train_acc", "test_acc")
+                                         for e in exits)],
+               ([r["epoch"], r["loss"], *r["exit_losses"], *r["train_acc"], *r["test_acc"]]
+                for r in history))

@@ -66,7 +66,7 @@ class Mode:
 
 
 def binarized(x: np.ndarray) -> np.ndarray:
-    """Sign as float32 ±1 (0 and -0.0 map to +1, NaN to -1)."""
+    """Sign as float32 ±1 (0 and -0.0 map to +1, NaN to -1); the engine's one sign rule."""
     b = (x >= 0).astype(np.float32)
     b *= 2
     b -= 1
@@ -90,6 +90,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 FLOAT32_EXACT_TERMS = 2**24
 
 
+def _check_exact_sum(terms: int, what: str) -> None:
+    if terms > FLOAT32_EXACT_TERMS:
+        raise ValueError(f"{what} sums {terms} ±1 terms, more than the "
+                         f"{FLOAT32_EXACT_TERMS} that float32 adds exactly")
+
+
 @dataclass(frozen=True)
 class ConvGeometry:
     """Shape bookkeeping for a 2-D convolution."""
@@ -107,12 +113,8 @@ class ConvGeometry:
             raise ValueError(f"unknown padding mode {self.padding!r}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.kernel * self.kernel * self.in_channels > FLOAT32_EXACT_TERMS:
-            raise ValueError(
-                f"kernel {self.kernel}x{self.kernel} over {self.in_channels} channels sums "
-                f"{self.kernel * self.kernel * self.in_channels} ±1 terms, more than the "
-                f"{FLOAT32_EXACT_TERMS} that float32 adds exactly"
-            )
+        _check_exact_sum(self.kernel * self.kernel * self.in_channels,
+                         f"kernel {self.kernel}x{self.kernel} over {self.in_channels} channels")
 
     def pad_amounts(self, h: int, w: int) -> tuple[int, int, int, int]:
         """(top, bottom, left, right) explicit padding for the input size."""
@@ -459,11 +461,7 @@ class ExitHead(Layer):
 
     def __init__(self, n_features, n_classes, rng):
         super().__init__()
-        if n_features > FLOAT32_EXACT_TERMS:
-            raise ValueError(
-                f"{n_features} features exceed the {FLOAT32_EXACT_TERMS} ±1 terms "
-                "that float32 adds exactly"
-            )
+        _check_exact_sum(n_features, f"a head over {n_features} features")
         self.n_features = n_features
         self.n_classes = n_classes
         self.latent = rng.uniform(-0.9, 0.9, (n_classes, n_features)).astype(np.float32)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arch
+from . import arch, layers
 
 MAGIC = b"EEBN"
 VERSION = 1
@@ -100,8 +100,8 @@ class BitTensor:
 def binarize(t: np.ndarray) -> BitTensor:
     """Map a float tensor element-wise through sign and pack it.
 
-    The tie rule is sign(0) = +1. Raises ValueError naming the offending
-    index if the input contains NaN or infinity.
+    Sign is `layers.binarized`, so sign(0) = +1. Raises ValueError naming
+    the offending index if the input contains NaN or infinity.
     """
     t = np.asarray(t)
     if t.ndim == 0:
@@ -110,7 +110,7 @@ def binarize(t: np.ndarray) -> BitTensor:
     if not finite.all():
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"non-finite value {t[idx]} at index {idx}")
-    return _pack_bits(t >= 0)
+    return _pack_bits(layers.binarized(t) > 0)
 
 
 def _pack_bits(bits: np.ndarray) -> BitTensor:
@@ -156,8 +156,7 @@ def _blob_entries(model: arch.Model):
 
 def _pack_blob(kind: str, arr: np.ndarray) -> tuple[bytes, list[int]]:
     if kind == "bits":
-        bt = binarize(arr.astype(np.float64))
-        words = bt.words.astype("<u8")
+        words = binarize(arr).words.astype("<u8")
         return words.tobytes(), list(arr.shape)
     return np.ascontiguousarray(arr, dtype="<f4").tobytes(), list(arr.shape)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arch
+from . import arch, layers
 
 RULE_KINDS = ("entropy", "softmax-confidence")
 
@@ -61,9 +61,7 @@ def temperature_confidence(p, temperature: float) -> float:
     nz = p > 0
     logits = np.full(p.shape, -np.inf)
     logits[nz] = np.log(p[nz]) / temperature
-    z = logits - logits.max()
-    e = np.exp(z)
-    return float(e.max() / e.sum())
+    return float(layers.softmax(logits).max())
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ class Optimizer:
         self.bop_group: dict[str, tuple] = {}
         for path, lay, pname, arr, is_binary in model.named_params():
             if is_binary and cfg.optimizer == "bop":
-                arr[...] = np.where(arr >= 0, 1.0, -1.0)  # Bop keeps weights exactly ±1
+                arr[...] = layers.binarized(arr)  # Bop keeps weights exactly ±1
                 self.bop_group[path] = (lay, pname, arr)
             else:
                 self.adam_group[path] = (lay, pname, arr)
@@ -206,8 +206,8 @@ def train_loop(model: arch.Model, dataset: data.Dataset, cfg: TrainConfig,
     """
     if bank is None:
         bank = data.FeatureBank(dataset, n_frames=model.spec.input_shape[0])
-    train_idx = [i for i, s in enumerate(dataset.samples) if s.split == "train"]
-    test_idx = [i for i, s in enumerate(dataset.samples) if s.split == "test"]
+    train_idx = dataset.indices("train")
+    test_idx = dataset.indices("test")
     if cfg.epochs > 0 and not train_idx:
         raise data.DataError("dataset has no training split")
     labels = np.array([s.label for s in dataset.samples])

@@ -1,5 +1,6 @@
-"""The packed sign-bit format of `modelio`, `layers.ConvGeometry`, and the
-XNOR/popcount oracles of `oracles` against their naive references."""
+"""The packed sign-bit format of `modelio`, the sign rule it shares with
+`layers` and Bop, `layers.ConvGeometry`, and the XNOR/popcount oracles of
+`oracles` against their naive references."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eebnn import layers, modelio
+from eebnn import layers, modelio, training
 
 
 def test_word_count_and_tail_mask():
@@ -29,6 +30,37 @@ def test_binarize_roundtrip_sign_zero_positive():
 def test_binarize_rejects_nan():
     with pytest.raises(ValueError, match="non-finite"):
         modelio.binarize(np.array([1.0, np.nan]))
+
+
+class _BinaryParamOnly:
+    """The one thing `training.Optimizer` reads of a model: its named parameters."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def named_params(self):
+        yield "w", None, "w", self.arr, True
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sign_rule_agrees_across_its_users(dtype):
+    # layers.binarized, modelio's packed bits and Bop's snap to ±1 share sign(0) = +1
+    t = np.array([0.0, -0.0, 1e-30, -1e-30, 0.5, -0.5, 1.0, -1.0], dtype=dtype)
+    expected = np.array([1, 1, 1, -1, 1, -1, 1, -1], dtype=np.float32)
+    assert np.array_equal(layers.binarized(t), expected)
+    assert np.array_equal(modelio.unpack(modelio.binarize(t)), expected)
+    snapped = _BinaryParamOnly(t.copy())
+    training.Optimizer(snapped, training.TrainConfig(optimizer="bop"))
+    assert np.array_equal(snapped.arr, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binarize_rejects_non_finite_naming_the_index(dtype, bad):
+    t = np.zeros((2, 3), dtype=dtype)
+    t[1, 2] = bad
+    with pytest.raises(ValueError, match=r"non-finite value .* at index \(1, 2\)"):
+        modelio.binarize(t)
 
 
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))

@@ -10,8 +10,8 @@ from eebnn import arch, data, evaluation, runtime
 from eebnn.evaluation import (SWEEP_CSV_HEADER, accuracy_vs_avg_exit, bench_exits,
                               exit_generalization_table, model_id, per_class_exits,
                               read_records_jsonl, row_from_records, sweep,
-                              write_bench_csv, write_curve_csv, write_per_class_csv,
-                              write_records_jsonl, write_sweep_csv)
+                              write_bench_csv, write_curve_csv, write_history_csv,
+                              write_per_class_csv, write_records_jsonl, write_sweep_csv)
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,39 @@ def test_write_per_class_csv(sw, trained_model, easy_dataset, tmp_path):
                        "frac_exit4", "frac_exit5", "mean_exit"]
     assert len(rows) == 5
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+
+
+def test_write_per_class_csv_leaves_an_empty_class_blank(tmp_path):
+    records = [runtime.ExitRecord(exit_index=e, prediction=c, confidence=0.1, trail=(0.1,) * e,
+                                  macs=100 * e, wall_ms=0.0, label=c)
+               for c, e in ((0, 1), (0, 3), (1, 5))]
+    stats = per_class_exits(records, 3, 0.5)
+    assert stats.empty_classes == (2,)
+    out = tmp_path / "per_class.csv"
+    write_per_class_csv(stats, out)
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["0", "2", "0.5", "0.0", "0.5", "0.0", "0.0", "2.0"]
+    assert rows[2] == ["1", "1", "0.0", "0.0", "0.0", "0.0", "1.0", "5.0"]
+    assert rows[3] == ["2", "0", "", "", "", "", "", ""]
+
+
+def test_write_history_csv_header_and_values(tmp_path):
+    exits = range(1, arch.N_EXITS + 1)
+    record = {"epoch": 3, "loss": 1.2345678901234567,
+              "exit_losses": list(np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / 3.0),
+              "train_acc": [0.125, 0.25, 0.375, 0.5, 1 / 3],
+              "test_acc": [0.2, 0.4, 0.6, 0.8, 1.0], "seconds": 9.0}
+    out = tmp_path / "history.csv"
+    write_history_csv([record], out)
+    with open(out, newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert header == ["epoch", "loss", *(f"exit_loss{e}" for e in exits),
+                      *(f"train_acc{e}" for e in exits), *(f"test_acc{e}" for e in exits)]
+    assert len(header) == 17
+    assert int(row[0]) == record["epoch"]
+    assert [float(v) for v in row[1:]] == [record["loss"], *record["exit_losses"],
+                                            *record["train_acc"], *record["test_acc"]]
 
 
 def test_write_bench_and_curve_csv(sw, trained_model, feature_bank, test_indices, tmp_path):

@@ -3,7 +3,9 @@
 Each family trains one epoch with Adam and with Bop, once on the engine and
 once with the references of `oracles` patched into `eebnn.layers`, on the
 same host. The parameters, buffers and history (bar wall-clock seconds) must
-be identical, so the comparison needs no stored hashes.
+be identical, and so must every layer's float64 gradients from the last
+step, where a last-bit difference need not reach the float32 parameters.
+The comparison needs no stored hashes.
 """
 import numpy as np
 import pytest
@@ -37,17 +39,25 @@ def _train(family, optimizer, dataset, bank):
         del record["seconds"]
     state = {f"{path}.{name}": arr.copy() for path, lay in model.named_layers()
              for name, arr in {**lay.params(), **lay.buffers()}.items()}
-    return state, history
+    grads = {f"{path}.{name}": g.copy() for path, lay in model.named_layers()
+             for name, g in lay.grads.items()}
+    assert grads.keys() == {path for path, *_ in model.named_params()}
+    return state, history, grads
 
 
 @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
 @pytest.mark.parametrize("family", arch.FAMILIES)
 def test_training_matches_one_shot_references(family, optimizer, small_bank, monkeypatch):
-    engine_state, engine_history = _train(family, optimizer, *small_bank)
+    engine_state, engine_history, engine_grads = _train(family, optimizer, *small_bank)
     for owner, name, reference in REFERENCES:
         monkeypatch.setattr(owner, name, reference)
-    ref_state, ref_history = _train(family, optimizer, *small_bank)
+    ref_state, ref_history, ref_grads = _train(family, optimizer, *small_bank)
     assert engine_history == ref_history
     assert engine_state.keys() == ref_state.keys()
     for key, arr in engine_state.items():
         assert np.array_equal(arr, ref_state[key]), key
+    # the last step's float64 gradients, the ragged batch of 2 included
+    assert engine_grads.keys() == ref_grads.keys()
+    for key, g in engine_grads.items():
+        assert g.dtype == np.float64, key
+        assert np.array_equal(g, ref_grads[key]), key
