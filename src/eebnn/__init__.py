@@ -14,12 +14,12 @@ from .evaluation import SweepResult, bench_exits, per_class_exits, sweep
 from .frontend import FrontendConfig, MelFeature, featurize
 from .modelio import load_model, save_model
 from .runtime import DecisionRule, ExitRecord, entropy, infer_early_exit, infer_fixed_exit
-from .training import BopState, TrainConfig, train_loop
+from .training import TrainConfig, train_loop
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchSpec", "BopState", "Dataset", "DecisionRule", "ExitRecord",
+    "ArchSpec", "Dataset", "DecisionRule", "ExitRecord",
     "FrontendConfig", "MelFeature", "Model", "SweepResult", "TrainConfig",
     "bench_exits", "build", "entropy", "featurize",
     "infer_early_exit", "infer_fixed_exit", "load_model",

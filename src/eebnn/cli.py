@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface, run as `eebnn` or `python -m eebnn`.
 
 Subcommands: train, eval, sweep, per-class, bench, features, synth-data.
 Exit codes: 0 success, 1 usage error (bad flags/config, including a
@@ -352,3 +352,7 @@ def cli(argv=None) -> int:
 
 def entry():
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

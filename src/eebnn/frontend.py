@@ -62,7 +62,6 @@ class MelFeature:
     """A frames x mel-bins matrix of log filterbank energies."""
 
     data: np.ndarray  # (T, n_mels) float32
-    duration_ms: float
 
 
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
@@ -118,18 +117,12 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
-def mel_project_log(spec: np.ndarray, cfg: FrontendConfig, duration_ms: float) -> MelFeature:
-    """Project a power spectrum onto the mel bank and log-compress."""
-    energies = spec @ mel_filterbank(cfg).T
-    data = np.log(energies + cfg.log_floor).astype(np.float32)
-    return MelFeature(data=data, duration_ms=float(duration_ms))
-
-
 def featurize(pcm: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> MelFeature:
     """Full front-end over the whole clip: framing, power spectrum, mel
     projection, log. Fitting the frames to a model is `data.FeatureBank`'s job."""
     spec = power_spectrum(frame_and_window(pcm, cfg), cfg)
-    return mel_project_log(spec, cfg, 1000.0 * len(pcm) / cfg.sample_rate)
+    energies = spec @ mel_filterbank(cfg).T
+    return MelFeature(data=np.log(energies + cfg.log_floor).astype(np.float32))
 
 
 # frames of a 16-bit mono data chunk whose size field holds the streaming

@@ -20,10 +20,11 @@ into 64-bit words (`BitTensor`). Bit 1 encodes +1 and bit 0 encodes -1, and
 the pad bits of a trailing partial word are stored as +1.
 
 Loading verifies magic, version, the header schema (field types, and a
-blob size that matches each blob's kind and shape) and every checksum
-before any model object is constructed, so a corrupted file never yields a
-partial model and every defect surfaces as a ModelFormatError naming the
-file. Saving
+blob size that matches each blob's kind and shape), every checksum, and
+that no bytes follow the last blob before any model object is constructed;
+the directory must then name each of the model's blobs exactly once. So a
+corrupted file never yields a partial model, and every defect surfaces as
+a ModelFormatError naming the file. Saving
 writes to a temporary file and renames it into place. No timestamps are
 stored: identical model state produces identical bytes.
 """
@@ -290,7 +291,10 @@ def load_model(path) -> tuple[arch.Model, dict]:
     _check_header(header, path)
     blob_base = 10 + header_len
     blobs = {}
+    end = blob_base
     for entry in header["blobs"]:
+        if entry["name"] in blobs:
+            raise ModelFormatError(f"{path}: blob {entry['name']} is listed twice")
         lo = blob_base + entry["offset"]
         hi = lo + entry["size"]
         if hi > len(raw):
@@ -301,6 +305,9 @@ def load_model(path) -> tuple[arch.Model, dict]:
         if zlib.crc32(chunk) != entry["crc32"]:
             raise ChecksumError(f"{path}: checksum mismatch in blob {entry['name']}")
         blobs[entry["name"]] = entry["kind"], _unpack_blob(entry["kind"], chunk, entry["shape"])
+        end = max(end, hi)
+    if len(raw) > end:
+        raise ModelFormatError(f"{path}: {len(raw) - end} bytes follow the last blob")
 
     try:
         model = arch.build(arch.ArchSpec(**header["arch"]), seed=header.get("seed", 0))
@@ -309,11 +316,13 @@ def load_model(path) -> tuple[arch.Model, dict]:
     for name, kind, arr in _blob_entries(model):
         if name not in blobs:
             raise ModelFormatError(f"{path}: missing blob {name}")
-        stored, loaded = blobs[name]
+        stored, loaded = blobs.pop(name)
         if stored != kind or loaded.shape != arr.shape:
             raise ModelFormatError(
                 f"{path}: blob {name} is {stored} of shape {loaded.shape}, "
                 f"expected {kind} of shape {arr.shape}"
             )
         arr[...] = loaded
+    if blobs:
+        raise ModelFormatError(f"{path}: unknown blob(s) {', '.join(sorted(blobs))}")
     return model, header.get("meta", {})

@@ -4,7 +4,9 @@ All exits train on every sample; no early-exit rule is consulted here. The
 loss is a weighted sum of per-exit cross-entropies (unit weights by default),
 averaged over the batch.
 
-Two optimizer settings:
+Two optimizer settings, built from two in-place updates of one array each
+(`adam_update`, `bop_update`) that `Optimizer` applies slot by slot, a slot
+holding one parameter with its moments:
 
 * "adam": Adam on every parameter, including the latent weights behind the
   binary layers (their binarized values follow the latent sign).
@@ -16,7 +18,7 @@ Two optimizer settings:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,89 +75,52 @@ class TrainConfig:
 # --- optimizers -----------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                t: int, lr: float) -> None:
+    """Adam step `t` (from 1) on one array, in place; float64 moments, `p` keeps its dtype."""
+    g = np.asarray(g, dtype=np.float64)
+    m += (1 - ADAM_BETA1) * (g - m)
+    v += (1 - ADAM_BETA2) * (g * g - v)
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
-def step_adam(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """One Adam update, in place; float64 math, parameters stay float32."""
-    state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m.setdefault(name, np.zeros(p.shape))
-        v = state.v.setdefault(name, np.zeros(p.shape))
-        m += (1 - ADAM_BETA1) * (g - m)
-        v += (1 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-
-
-@dataclass
-class BopState:
-    gamma: float = 1e-4
-    tau: float = 1e-8
-    m: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-
-
-def step_bop(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             state: BopState) -> None:
-    """One Bop update: momentum accumulate, then sign flips, in place.
+def bop_update(w: np.ndarray, g: np.ndarray, m: np.ndarray, gamma: float, tau: float) -> None:
+    """One Bop update on one ±1 array: momentum accumulate, then sign flips, in place.
 
     A weight flips only when its momentum magnitude exceeds tau and the
     momentum sign agrees with the weight sign (gradient pushing against the
     current value).
     """
-    for name, w in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m.setdefault(name, np.zeros(w.shape))
-        m += state.gamma * (g - m)
-        flip = (np.abs(m) > state.tau) & ((m > 0) == (w > 0))
-        w[flip] = -w[flip]
+    g = np.asarray(g, dtype=np.float64)
+    m += gamma * (g - m)
+    flip = (np.abs(m) > tau) & ((m > 0) == (w > 0))
+    w[flip] = -w[flip]
 
 
 class Optimizer:
-    """Routes parameter groups to Adam/Bop per the config."""
+    """One slot per parameter: layer, name, array, float64 first moment, and
+    Adam's second moment, or None for a weight that Bop updates."""
 
     def __init__(self, model: arch.Model, cfg: TrainConfig):
-        self.model = model
         self.cfg = cfg
-        self.adam_group: dict[str, tuple] = {}
-        self.bop_group: dict[str, tuple] = {}
-        for path, lay, pname, arr, is_binary in model.named_params():
-            if is_binary and cfg.optimizer == "bop":
+        self.t = 0
+        self.slots = []
+        for _, lay, pname, arr, is_binary in model.named_params():
+            bop = is_binary and cfg.optimizer == "bop"
+            if bop:
                 arr[...] = layers.binarized(arr)  # Bop keeps weights exactly ±1
-                self.bop_group[path] = (lay, pname, arr)
-            else:
-                self.adam_group[path] = (lay, pname, arr)
-        self.adam_state = AdamState()
-        self.bop_state = BopState(gamma=cfg.bop_gamma, tau=cfg.bop_tau)
-
-    def _gather(self, group):
-        params = {path: arr for path, (_, _, arr) in group.items()}
-        grads = {}
-        for path, (lay, pname, arr) in group.items():
-            g = lay.grads.get(pname)
-            grads[path] = np.zeros(arr.shape) if g is None else g
-        return params, grads
+            v = None if bop else np.zeros(arr.shape)
+            self.slots.append((lay, pname, arr, np.zeros(arr.shape), v))
 
     def step(self) -> None:
-        params, grads = self._gather(self.adam_group)
-        step_adam(params, grads, self.adam_state, self.cfg.lr)
-        if self.bop_group:
-            params, grads = self._gather(self.bop_group)
-            step_bop(params, grads, self.bop_state)
+        self.t += 1
+        for lay, pname, arr, m, v in self.slots:
+            if v is None:
+                bop_update(arr, lay.grads[pname], m, self.cfg.bop_gamma, self.cfg.bop_tau)
+            else:
+                adam_update(arr, lay.grads[pname], m, v, self.t, self.cfg.lr)
 
 
 # --- training loop ----------------------------------------------------------------

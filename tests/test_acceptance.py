@@ -198,15 +198,15 @@ def test_criterion_5_bop_contract():
               for j, s in enumerate(shapes)}
     ref_w = {k: v.astype(np.float64).copy() for k, v in params.items()}
     ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
-    state = training.BopState(gamma=gamma, tau=tau)
+    moments = {k: np.zeros(v.shape) for k, v in params.items()}
     steps = 200
     exact = True
     flips = 0
     for _ in range(steps):
         grads = {k: rng.standard_normal(v.shape) * 0.3 for k, v in params.items()}
         step_w = {k: v.copy() for k, v in params.items()}
-        training.step_bop(params, grads, state)
         for k in params:
+            training.bop_update(params[k], grads[k], moments[k], gamma, tau)
             ref_m[k] = (1 - gamma) * ref_m[k] + gamma * grads[k]
             flip = (np.abs(ref_m[k]) > tau) & ((ref_m[k] > 0) == (ref_w[k] > 0))
             ref_w[k] = np.where(flip, -ref_w[k], ref_w[k])

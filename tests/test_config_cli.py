@@ -3,6 +3,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,3 +727,40 @@ def test_public_names_resolve():
 def test_no_command_prints_help(capsys):
     assert cli([]) == 1
     assert "train" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", *DATASET_ARGS, "--out", "m.eebnn"], "no architecture given"),
+    (["train", *TRAIN_ARGS, "--widths", "4,x", "--out", "m.eebnn"],
+     "expected comma-separated int values, got '4,x'"),
+    (["bench", "--model", "{model}", "--repeats", "0"], "--repeats must be >= 1"),
+], ids=["no-arch", "bad-int-list", "zero-repeats"])
+def test_usage_error_exit_code_one(cli_model, tmp_path, capsys, argv, message):
+    argv = [str(tmp_path / a) if a.endswith(".eebnn") else a.format(model=cli_model) for a in argv]
+    assert cli(argv) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.eebnn").exists()
+
+
+def test_per_class_reports_a_class_without_test_clips(cli_model, tmp_path, capsys):
+    tone = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(16000) / 16000)
+    frontend.write_wav(tmp_path / "a.wav", tone.astype(np.float32), 16000)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\na.wav,0,test\na.wav,1,test\na.wav,2,train\n")
+    assert cli(["per-class", "--model", str(cli_model), "--manifest", str(manifest),
+                "--out", str(tmp_path / "pc.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("class 0: mean_exit")
+    assert printed[1].startswith("class 1: mean_exit")
+    assert printed[2] == "class 2: no test samples"
+
+
+@pytest.mark.parametrize("module", ["eebnn", "eebnn.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # the package's own directory first, so an uninstalled checkout runs too
+    path = [str(Path(eebnn.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: eebnn")

@@ -130,6 +130,37 @@ def test_garbled_header_rejected(saved, tmp_path):
         load_model(victim)
 
 
+def _swap_first_f32_and_bits(blobs):
+    # the first blob the model asks for, stem.w, then holds a binary weight's bits
+    real = blobs[0]
+    bits = next(b for b in blobs if b["kind"] == "bits")
+    real["name"], bits["name"] = bits["name"], real["name"]
+
+
+@pytest.mark.parametrize("edit,tail,message", [
+    (lambda blobs: blobs.append({**blobs[0], "name": "ghost.w"}), b"", r"unknown blob\(s\) ghost\.w"),
+    (lambda blobs: blobs.append(dict(blobs[-1])), b"", "is listed twice"),
+    (None, b"\x00" * 3, "3 bytes follow the last blob"),
+    (lambda blobs: blobs.pop(0), b"", r"missing blob stem\.w$"),
+    (_swap_first_f32_and_bits, b"", r"blob stem\.w is bits of shape .*, expected f32 of shape"),
+], ids=["unknown", "repeated", "trailing-bytes", "missing", "kind-and-shape"])
+def test_blob_directory_must_be_the_models(saved, tmp_path, edit, tail, message):
+    """The blob directory names each of the model's blobs once, and nothing follows them."""
+    path, _ = saved
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + n])
+    assert header["blobs"][0]["name"] == "stem.w"
+    if edit is not None:
+        edit(header["blobs"])
+    head = json.dumps(header).encode("utf-8")
+    victim = tmp_path / "victim.eebnn"
+    victim.write_bytes(raw[:6] + len(head).to_bytes(4, "little") + head + raw[10 + n:] + tail)
+    with pytest.raises(ModelFormatError, match=message) as info:
+        load_model(victim)
+    assert str(victim) in str(info.value)
+
+
 def test_no_temp_file_left_behind(trained_model, tmp_path):
     target = tmp_path / "clean.eebnn"
     save_model(trained_model, target)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eebnn import arch, data, frontend, runtime, training
-from eebnn.training import (PROB_FLOOR, AdamState, BopState, Optimizer, TrainConfig,
-                            TrainingDiverged, _batch_losses, step_adam, step_bop, train_loop)
+from eebnn.training import (PROB_FLOOR, Optimizer, TrainConfig, TrainingDiverged, _batch_losses,
+                            adam_update, bop_update, train_loop)
 
 
 def test_cross_entropy_known_value():
@@ -66,15 +66,14 @@ def test_train_config_dict_round_trip():
 def test_adam_matches_scalar_reference():
     lr, b1, b2, eps = 0.1, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
     p = np.array([1.0, -2.0], dtype=np.float32)
-    params = {"p": p}
-    state = AdamState()
+    m_arr, v_arr = np.zeros(2), np.zeros(2)
     grads_seq = [np.array([0.5, -1.0]), np.array([-0.2, 0.3]), np.array([0.0, 2.0])]
 
     ref = [1.0, -2.0]
     m = [0.0, 0.0]
     v = [0.0, 0.0]
     for t, g in enumerate(grads_seq, start=1):
-        step_adam(params, {"p": g}, state, lr)
+        adam_update(p, g, m_arr, v_arr, t, lr)
         for i in range(2):
             m[i] = b1 * m[i] + (1 - b1) * g[i]
             v[i] = b2 * v[i] + (1 - b2) * g[i] ** 2
@@ -87,7 +86,7 @@ def test_adam_matches_scalar_reference():
 
 def test_adam_first_step_magnitude():
     p = np.array([0.0], dtype=np.float32)
-    step_adam({"p": p}, {"p": np.array([10.0])}, AdamState(), lr=0.05)
+    adam_update(p, np.array([10.0]), np.zeros(1), np.zeros(1), t=1, lr=0.05)
     assert p[0] == pytest.approx(-0.05, rel=1e-4)
 
 
@@ -97,38 +96,39 @@ def test_bop_matches_scalar_reference():
     w = np.where(rng.standard_normal(20) >= 0, 1.0, -1.0).astype(np.float32)
     ref_w = w.astype(np.float64).tolist()
     ref_m = [0.0] * 20
-    state = BopState(gamma=gamma, tau=tau)
+    m = np.zeros(20)
     for _ in range(50):
         g = rng.standard_normal(20) * 0.2
-        step_bop({"w": w}, {"w": g}, state)
+        bop_update(w, g, m, gamma, tau)
         for i in range(20):
             ref_m[i] = (1 - gamma) * ref_m[i] + gamma * g[i]
             if abs(ref_m[i]) > tau and (ref_m[i] > 0) == (ref_w[i] > 0):
                 ref_w[i] = -ref_w[i]
         assert np.array_equal(w, np.array(ref_w, dtype=np.float32))
-        np.testing.assert_allclose(state.m["w"], ref_m, rtol=1e-12)
+        np.testing.assert_allclose(m, ref_m, rtol=1e-12)
         assert np.all(np.abs(w) == 1.0)
 
 
 def test_bop_flip_rule_edges():
     # momentum exactly tau must not flip (strict inequality)
     w = np.array([1.0])
-    state = BopState(gamma=1.0, tau=0.5)
-    step_bop({"w": w}, {"w": np.array([0.5])}, state)
+    m = np.zeros(1)
+    bop_update(w, np.array([0.5]), m, gamma=1.0, tau=0.5)
     assert w[0] == 1.0
     # above tau with matching sign flips
-    step_bop({"w": w}, {"w": np.array([0.6])}, state)
+    bop_update(w, np.array([0.6]), m, gamma=1.0, tau=0.5)
     assert w[0] == -1.0
     # now momentum positive but weight negative: sign mismatch, no flip
-    step_bop({"w": w}, {"w": np.array([0.6])}, state)
+    bop_update(w, np.array([0.6]), m, gamma=1.0, tau=0.5)
     assert w[0] == -1.0
 
 
 def test_bop_state_validation():
-    with pytest.raises(ValueError):
-        BopState(gamma=0.0)
-    with pytest.raises(ValueError):
-        BopState(tau=0.0)
+    # the γ and τ ranges are checked once, where the config is built
+    with pytest.raises(ValueError, match="bop gamma"):
+        TrainConfig(bop_gamma=0.0)
+    with pytest.raises(ValueError, match="bop tau"):
+        TrainConfig(bop_tau=0.0)
 
 
 def test_optimizer_bop_snaps_binary_weights():
