@@ -241,7 +241,6 @@ class Model:
                                            if isinstance(lay, layers.BinConv2d)))
                 self.block_hw.append((h, w))
                 c = blk.out_channels
-        self.block_channels = [b.out_channels for b in self.blocks]
 
         trunk_cum = list(itertools.accumulate(self.block_macs, initial=self.stem_macs))[1:]
         if spec.exit_placements is None:
@@ -250,7 +249,7 @@ class Model:
         self.placements = self.spec.exit_placements
 
         self.exits = [
-            layers.ExitHead(self.block_channels[p - 1], spec.n_classes, rng) for p in self.placements
+            layers.ExitHead(self.blocks[p - 1].out_channels, spec.n_classes, rng) for p in self.placements
         ]
         self.exit_costs = tuple(
             trunk_cum[p - 1] + head.macs for p, head in zip(self.placements, self.exits)
@@ -288,16 +287,11 @@ class Model:
 
     def named_params(self):
         for path, lay in self.named_layers():
-            binary = lay.binary_param_names()
             for pname, arr in lay.params().items():
-                yield f"{path}.{pname}", lay, pname, arr, pname in binary
+                yield f"{path}.{pname}", lay, pname, arr, pname in lay.binary
 
     def param_count(self) -> int:
         return sum(arr.size for _, _, _, arr, _ in self.named_params())
-
-    def zero_grads(self):
-        for _, lay in self.named_layers():
-            lay.zero_grads()
 
     # --- input handling ---
 
@@ -338,18 +332,19 @@ class Model:
         return [head.forward(x, mode) for head, x in zip(self.exits, acts)]
 
     def backward_train(self, dlogits: list[np.ndarray]) -> None:
-        """Accumulates parameter gradients from per-exit logit gradients.
+        """Sets every parameter's gradient from per-exit logit gradients.
 
-        Each layer frees its training cache as it goes, and the stem computes
-        no gradient for the network input.
+        Every layer runs its backward on every call, so each layer's `grads`
+        is this step's; each frees its training cache as it goes, and the
+        stem computes no gradient for the network input.
         """
+        heads = dict(zip(self.placements, zip(self.exits, dlogits)))
         dy = None
-        exit_i = N_EXITS - 1
         for b in range(len(self.blocks), 0, -1):
-            while exit_i >= 0 and self.placements[exit_i] == b:
-                dhead = self.exits[exit_i].backward(dlogits[exit_i])
+            if b in heads:
+                head, dl = heads[b]
+                dhead = head.backward(dl)
                 dy = dhead if dy is None else np.add(dy, dhead, out=dy)
-                exit_i -= 1
             dy = self.blocks[b - 1].backward(dy)
             if b in self.pool_before:
                 # blocks keep their input's spatial size, so the map pooled

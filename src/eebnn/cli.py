@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="eebnn", description="Early-exit binary network toolkit")
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override it")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override it")
 
     def add_synth(sp, seed_flag):
         sp.add_argument("--classes", dest="data.classes", type=int, help="synthetic class count")
@@ -70,8 +70,7 @@ def _build_parser() -> _Parser:
         g.add_argument("--synth", action="store_true", help="use the synthetic dataset")
         add_synth(sp, "--data-seed")
 
-    sp = sub.add_parser("train", help="train a model", add_help=True)
-    add_common(sp)
+    sp = sub.add_parser("train", help="train a model", parents=[common])
     add_dataset(sp)
     sp.add_argument("--seed", dest="train.seed", type=int, help="model init and shuffle seed")
     sp.add_argument("--family", dest="arch.family", choices=arch.FAMILIES)
@@ -85,8 +84,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--exit-weights", dest="train.exit_weights", type=_csv_of(float))
     sp.add_argument("--out", required=True, help="output model file")
 
-    sp = sub.add_parser("eval", help="evaluate a model")
-    add_common(sp)
+    sp = sub.add_parser("eval", help="evaluate a model", parents=[common])
     add_dataset(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--delta", dest="rule.threshold", type=float,
@@ -96,34 +94,29 @@ def _build_parser() -> _Parser:
     sp.add_argument("--fixed-exit", type=int, default=None, help="bypass the rule, exit here")
     sp.add_argument("--records", default=None, help="write per-sample JSONL here")
 
-    sp = sub.add_parser("sweep", help="threshold sweep")
-    add_common(sp)
+    sp = sub.add_parser("sweep", help="threshold sweep", parents=[common])
     add_dataset(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--deltas", dest="sweep.deltas", type=_csv_of(float))
     sp.add_argument("--out", required=True, help="output CSV; JSONL written alongside")
 
-    sp = sub.add_parser("per-class", help="per-class exit histogram")
-    add_common(sp)
+    sp = sub.add_parser("per-class", help="per-class exit histogram", parents=[common])
     add_dataset(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--delta", dest="rule.threshold", type=float)
     sp.add_argument("--out", required=True, help="output CSV")
 
-    sp = sub.add_parser("bench", help="per-exit latency micro-benchmark")
-    add_common(sp)
+    sp = sub.add_parser("bench", help="per-exit latency micro-benchmark", parents=[common])
     sp.add_argument("--model", required=True)
     sp.add_argument("--wav", default=None, help="input clip; default: synthetic tone")
     sp.add_argument("--repeats", type=int, default=30)
     sp.add_argument("--out", default=None, help="optional output CSV")
 
-    sp = sub.add_parser("features", help="dump mel features for a WAV")
-    add_common(sp)
+    sp = sub.add_parser("features", help="dump mel features for a WAV", parents=[common])
     sp.add_argument("--wav", required=True)
     sp.add_argument("--out", required=True, help="output .npy")
 
-    sp = sub.add_parser("synth-data", help="generate synthetic WAVs + manifest")
-    add_common(sp)
+    sp = sub.add_parser("synth-data", help="generate synthetic WAVs + manifest", parents=[common])
     add_synth(sp, "--seed")
     sp.add_argument("--out", required=True, help="output directory")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -103,7 +104,9 @@ def merge(base: dict, overrides: dict) -> dict:
 def _fits(value, hint) -> bool:
     """Whether a JSON or flag value has the annotated type; an int passes as a float.
 
-    A boolean is never a number here, though Python's bool subclasses int.
+    A boolean is never a number here, though Python's bool subclasses int,
+    and NaN or an infinity is no value at all, though JSON and argparse
+    parse them as floats.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
@@ -114,7 +117,9 @@ def _fits(value, hint) -> bool:
         return isinstance(value, dict) and all(
             _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
     if hint in (int, float):
-        return isinstance(value, (int, float) if hint is float else int) and not isinstance(value, bool)
+        if isinstance(value, float):  # only a float: math.isfinite overflows on a huge int
+            return hint is float and math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, hint)
 
 

@@ -55,6 +55,7 @@ zeroed outside.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,13 +247,10 @@ def _conv_input_grad(dy, w, geom: ConvGeometry, x_shape):
     """
     n, h, wd, c = x_shape
     o, k, stride = w.shape[0], geom.kernel, geom.stride
-    pt, _, pl, _ = geom.pad_amounts(h, wd)
+    pt, pb, pl, pr = geom.pad_amounts(h, wd)
     oh, ow = geom.out_hw(h, wd)
     wmat = w.reshape(o, k * k * c)
-    # reconstruct padded size directly from the window arithmetic
-    hp = max((oh - 1) * stride + k, h + pt)
-    wp = max((ow - 1) * stride + k, wd + pl)
-    dxp = np.zeros((n, hp, wp, c))
+    dxp = np.zeros((n, h + pt + pb, wd + pl + pr, c))
     step = _block_samples(dxp[0].nbytes)
     for lo in range(0, n, step):
         dyf = dy[lo : lo + step].reshape(-1, o)
@@ -293,7 +291,11 @@ def avgpool2_backward(dy, h, wd):
 
 
 class Layer:
-    """Base: parameter dict plus accumulated float64 gradients."""
+    """Base: parameter dict plus one float64 gradient array per parameter, made
+    once, on first use, and overwritten in place by every backward."""
+
+    binary: tuple[str, ...] = ()  # weights used by their sign: stored as sign bits, Bop's to update
+    _cache = None  # what the last train-mode forward kept for its backward
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -301,12 +303,10 @@ class Layer:
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
 
-    def binary_param_names(self) -> set[str]:
-        return set()
-
-    def __init__(self):
-        self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
+    # `Optimizer` makes these before training: arrays made inside a backward pin the heap
+    @functools.cached_property
+    def grads(self) -> dict[str, np.ndarray]:
+        return {name: np.zeros(p.shape) for name, p in self.params().items()}
 
     def _take_cache(self):
         """What the last train-mode forward cached, released as backward reads it."""
@@ -314,14 +314,6 @@ class Layer:
         if cache is None:
             raise RuntimeError(f"{type(self).__name__}.backward needs a train-mode forward first")
         return cache
-
-    def zero_grads(self):
-        self.grads = {name: np.zeros(p.shape) for name, p in self.params().items()}
-
-    def _accumulate(self, name, g):
-        if name not in self.grads:
-            self.grads[name] = np.zeros(self.params()[name].shape)
-        self.grads[name] += g
 
 
 class RealConv2d(Layer):
@@ -335,7 +327,6 @@ class RealConv2d(Layer):
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
-        super().__init__()
         self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         fan_in = kernel * kernel * in_channels
         self.w = (rng.standard_normal((out_channels, kernel, kernel, in_channels)) * np.sqrt(2.0 / fan_in)).astype(
@@ -352,7 +343,7 @@ class RealConv2d(Layer):
 
     def backward(self, dy) -> None:
         x = self._take_cache()
-        self._accumulate("w", _conv_weight_grad(dy, x, self.geom, 0.0))
+        self.grads["w"][...] = _conv_weight_grad(dy, x, self.geom, 0.0)
 
 
 class BinConv2d(Layer):
@@ -365,16 +356,14 @@ class BinConv2d(Layer):
     and the input's mask for it, not the input.
     """
 
+    binary = ("latent",)
+
     def __init__(self, in_channels, out_channels, kernel, stride, padding, rng):
-        super().__init__()
         self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
         self.latent = rng.uniform(-0.9, 0.9, (out_channels, kernel, kernel, in_channels)).astype(np.float32)
 
     def params(self):
         return {"latent": self.latent}
-
-    def binary_param_names(self):
-        return {"latent"}
 
     def forward(self, x, mode: Mode):
         xb, wb = binarized(x), binarized(self.latent)
@@ -385,7 +374,7 @@ class BinConv2d(Layer):
     def backward(self, dy):
         xb, mask = self._take_cache()
         dw_eff = _conv_weight_grad(dy, xb, self.geom, -1.0)
-        self._accumulate("latent", dw_eff * ste_mask(self.latent))
+        self.grads["latent"][...] = dw_eff * ste_mask(self.latent)
         del xb  # released before the input gradient allocates its own
         dx = _conv_input_grad(dy, binarized(self.latent), self.geom, mask.shape)
         dx *= mask
@@ -399,7 +388,6 @@ class BatchNorm(Layer):
     eps = 1e-5
 
     def __init__(self, channels):
-        super().__init__()
         self.gamma = np.ones(channels, dtype=np.float32)
         self.beta = np.zeros(channels, dtype=np.float32)
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -435,8 +423,8 @@ class BatchNorm(Layer):
     def backward(self, dy):
         xhat, inv, axes = self._take_cache()
         prod = dy * xhat
-        self._accumulate("gamma", prod.sum(axis=axes))
-        self._accumulate("beta", dy.sum(axis=axes))
+        self.grads["gamma"][...] = prod.sum(axis=axes)
+        self.grads["beta"][...] = dy.sum(axis=axes)
         m = np.prod([xhat.shape[a] for a in axes])
         dxhat = dy * self.gamma.astype(np.float64)
         s1 = dxhat.sum(axis=axes)
@@ -459,8 +447,9 @@ class ExitHead(Layer):
     real-valued expressivity despite its ±1 weights.
     """
 
+    binary = ("latent",)
+
     def __init__(self, n_features, n_classes, rng):
-        super().__init__()
         _check_exact_sum(n_features, f"a head over {n_features} features")
         self.n_features = n_features
         self.n_classes = n_classes
@@ -470,9 +459,6 @@ class ExitHead(Layer):
 
     def params(self):
         return {"latent": self.latent, "scale": self.scale, "bias": self.bias}
-
-    def binary_param_names(self):
-        return {"latent"}
 
     @property
     def macs(self) -> int:
@@ -492,10 +478,10 @@ class ExitHead(Layer):
 
     def backward(self, dlogits):
         hw, pooled, xb, wb, ints = self._take_cache()
-        self._accumulate("scale", (dlogits * ints).sum(axis=0))
-        self._accumulate("bias", dlogits.sum(axis=0))
+        self.grads["scale"][...] = (dlogits * ints).sum(axis=0)
+        self.grads["bias"][...] = dlogits.sum(axis=0)
         dints = dlogits * self.scale.astype(np.float64)
-        self._accumulate("latent", (dints.T @ xb) * ste_mask(self.latent))
+        self.grads["latent"][...] = (dints.T @ xb) * ste_mask(self.latent)
         dxb = dints @ wb
         dpooled = dxb * ste_mask(pooled)
         h, w = hw

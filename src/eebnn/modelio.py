@@ -21,7 +21,8 @@ the pad bits of a trailing partial word are stored as +1.
 
 Loading verifies magic, version, the header schema (field types, and a
 blob size that matches each blob's kind and shape), every checksum, and
-that no bytes follow the last blob before any model object is constructed;
+that the blobs tile the blob section, each starting where the one before
+it ends and the last ending the file, before any model object is constructed;
 the directory must then name each of the model's blobs exactly once. So a
 corrupted file never yields a partial model, and every defect surfaces as
 a ModelFormatError naming the file. Saving
@@ -147,9 +148,8 @@ def parameter_bits(shape: tuple[int, ...]) -> int:
 def _blob_entries(model: arch.Model):
     """(name, kind, array) for every persisted tensor, in a fixed order."""
     for path, lay in model.named_layers():
-        binary = lay.binary_param_names()
         for pname, arr in lay.params().items():
-            kind = "bits" if pname in binary else "f32"
+            kind = "bits" if pname in lay.binary else "f32"
             yield f"{path}.{pname}", kind, arr
         for bname, buf in lay.buffers().items():
             yield f"{path}.{bname}", "f32", buf
@@ -291,11 +291,14 @@ def load_model(path) -> tuple[arch.Model, dict]:
     _check_header(header, path)
     blob_base = 10 + header_len
     blobs = {}
-    end = blob_base
+    offset = 0  # the blobs tile the blob section in directory order
     for entry in header["blobs"]:
         if entry["name"] in blobs:
             raise ModelFormatError(f"{path}: blob {entry['name']} is listed twice")
-        lo = blob_base + entry["offset"]
+        if entry["offset"] != offset:
+            raise ModelFormatError(f"{path}: blob {entry['name']} starts at offset {entry['offset']}, "
+                                   f"the blobs before it end at {offset}")
+        lo = blob_base + offset
         hi = lo + entry["size"]
         if hi > len(raw):
             raise TruncatedError(
@@ -305,9 +308,9 @@ def load_model(path) -> tuple[arch.Model, dict]:
         if zlib.crc32(chunk) != entry["crc32"]:
             raise ChecksumError(f"{path}: checksum mismatch in blob {entry['name']}")
         blobs[entry["name"]] = entry["kind"], _unpack_blob(entry["kind"], chunk, entry["shape"])
-        end = max(end, hi)
-    if len(raw) > end:
-        raise ModelFormatError(f"{path}: {len(raw) - end} bytes follow the last blob")
+        offset += entry["size"]
+    if len(raw) != blob_base + offset:
+        raise ModelFormatError(f"{path}: {len(raw) - blob_base - offset} bytes follow the last blob")
 
     try:
         model = arch.build(arch.ArchSpec(**header["arch"]), seed=header.get("seed", 0))

@@ -75,11 +75,11 @@ class DecisionRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"rule kind must be one of {RULE_KINDS}, got {self.kind!r}")
-        if self.kind == "entropy" and self.threshold < 0:
+        if self.kind == "entropy" and not self.threshold >= 0:
             raise ValueError("entropy threshold must be >= 0")
         if self.kind == "softmax-confidence" and not 0 < self.threshold <= 1:
             raise ValueError("confidence threshold must be in (0, 1]")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
     def confidence(self, p) -> float:

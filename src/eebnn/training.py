@@ -64,7 +64,7 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if len(self.exit_weights) != arch.N_EXITS:
             raise ValueError(f"need {arch.N_EXITS} exit weights, got {len(self.exit_weights)}")
-        if any(w < 0 for w in self.exit_weights) or not any(w > 0 for w in self.exit_weights):
+        if any(not w >= 0 for w in self.exit_weights) or not any(w > 0 for w in self.exit_weights):
             raise ValueError("exit weights must be non-negative with at least one positive")
         if not 0 < self.bop_gamma <= 1:
             raise ValueError("bop gamma must be in (0, 1]")
@@ -100,8 +100,8 @@ def bop_update(w: np.ndarray, g: np.ndarray, m: np.ndarray, gamma: float, tau: f
 
 
 class Optimizer:
-    """One slot per parameter: layer, name, array, float64 first moment, and
-    Adam's second moment, or None for a weight that Bop updates."""
+    """One slot per parameter: the array, its gradient array (which each backward
+    overwrites), a float64 first moment, and Adam's second moment or None for Bop."""
 
     def __init__(self, model: arch.Model, cfg: TrainConfig):
         self.cfg = cfg
@@ -112,15 +112,15 @@ class Optimizer:
             if bop:
                 arr[...] = layers.binarized(arr)  # Bop keeps weights exactly ±1
             v = None if bop else np.zeros(arr.shape)
-            self.slots.append((lay, pname, arr, np.zeros(arr.shape), v))
+            self.slots.append((arr, lay.grads[pname], np.zeros(arr.shape), v))
 
     def step(self) -> None:
         self.t += 1
-        for lay, pname, arr, m, v in self.slots:
+        for arr, g, m, v in self.slots:
             if v is None:
-                bop_update(arr, lay.grads[pname], m, self.cfg.bop_gamma, self.cfg.bop_tau)
+                bop_update(arr, g, m, self.cfg.bop_gamma, self.cfg.bop_tau)
             else:
-                adam_update(arr, lay.grads[pname], m, v, self.t, self.cfg.lr)
+                adam_update(arr, g, m, v, self.t, self.cfg.lr)
 
 
 # --- training loop ----------------------------------------------------------------
@@ -189,7 +189,6 @@ def train_loop(model: arch.Model, dataset: data.Dataset, cfg: TrainConfig,
             chosen = [train_idx[j] for j in order[lo : lo + cfg.batch_size]]
             xb = bank.train_batch(chosen, rng)
             yb = labels[chosen]
-            model.zero_grads()
             logits = model.forward_train(xb, layers.Mode(train=True))
             loss, exit_losses, dlogits = _batch_losses(logits, yb, cfg.exit_weights)
             if not np.isfinite(loss):

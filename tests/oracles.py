@@ -247,8 +247,8 @@ def batchnorm_forward_reference(self: BatchNorm, x, mode: Mode):
 def batchnorm_backward_reference(self: BatchNorm, dy):
     """`BatchNorm.backward`: a method, so it can stand in for the engine's."""
     xhat, inv, axes = self._take_cache()
-    self._accumulate("gamma", (dy * xhat).sum(axis=axes))
-    self._accumulate("beta", dy.sum(axis=axes))
+    self.grads["gamma"][...] = (dy * xhat).sum(axis=axes)
+    self.grads["beta"][...] = dy.sum(axis=axes)
     m = np.prod([xhat.shape[a] for a in axes])
     dxhat = dy * self.gamma.astype(np.float64)
     return (inv / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
@@ -270,7 +270,7 @@ def binconv_backward_reference(self: layers.BinConv2d, dy):
     cols = _im2col(layers.binarized(x), self.geom, -1.0).astype(np.float64)
     dw_eff = conv_weight_grad_reference(dy, cols, self.latent.shape)
     del cols  # released before the input gradient allocates its own
-    self._accumulate("latent", dw_eff * layers.ste_mask(self.latent))
+    self.grads["latent"][...] = dw_eff * layers.ste_mask(self.latent)
     dx = layers._conv_input_grad(dy, layers.binarized(self.latent), self.geom, x.shape)
     dx *= layers.ste_mask(x)
     return dx

@@ -145,7 +145,6 @@ def test_criterion_4_gradient_checks(monkeypatch):
             total, _, _ = training._batch_losses(logits, labels, (1.0,) * 5)
             return total
 
-        model.zero_grads()
         logits = model.forward_train(xb, mode)
         total, _, dlogits = training._batch_losses(logits, labels, (1.0,) * 5)
         model.backward_train(dlogits)
@@ -178,7 +177,6 @@ def test_criterion_4_gradient_checks(monkeypatch):
     conv = model2.blocks[0].conv
     conv.latent[0, 0, 0, 0] = 1.5
     conv.latent[0, 1, 1, 0] = -2.0
-    model2.zero_grads()
     logits = model2.forward_train(xb, layers.Mode(train=True))
     _, _, dlogits = training._batch_losses(logits, labels, (1.0,) * 5)
     model2.backward_train(dlogits)

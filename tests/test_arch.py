@@ -161,7 +161,6 @@ def test_backward_matches_finite_difference(family, monkeypatch):
     def losses():
         return training._batch_losses(model.forward_train(xb, mode), labels, (1.0,) * 5)
 
-    model.zero_grads()
     model.backward_train(losses()[2])
 
     worst = 0.0
@@ -197,7 +196,6 @@ def _arrays(cache):
 
 
 def _train_step(model, xb, labels):
-    model.zero_grads()
     dlogits = training._batch_losses(model.forward_train(xb, layers.Mode(train=True)), labels, (1.0,) * 5)[2]
     model.backward_train(dlogits)
 

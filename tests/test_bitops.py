@@ -33,13 +33,14 @@ def test_binarize_rejects_nan():
 
 
 class _BinaryParamOnly:
-    """The one thing `training.Optimizer` reads of a model: its named parameters."""
+    """What `training.Optimizer` reads of a model: its named parameters and their gradient arrays."""
 
     def __init__(self, arr):
         self.arr = arr
+        self.grads = {"w": np.zeros(arr.shape)}
 
     def named_params(self):
-        yield "w", None, "w", self.arr, True
+        yield "w", self, "w", self.arr, True
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

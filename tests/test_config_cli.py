@@ -446,9 +446,16 @@ def test_config_file_unknown_key_exit_code(tmp_path, capsys):
     ("train", {"train": {"seed": True}}),  # a JSON boolean is not an int, though bool subclasses it
     ("train", {"data": {"classes": False}}),
     ("sweep", {"rule": {"threshold": True}}),
+    # JSON's NaN and Infinity parse as floats, but no config value takes them
+    ("sweep", {"frontend": {"hop_ms": float("inf")}}),
+    ("sweep", {"frontend": {"window_ms": float("-inf")}}),
+    ("sweep", {"rule": {"threshold": float("nan")}}),
+    ("sweep", {"rule": {"temperature": float("nan")}}),
+    ("train", {"train": {"exit_weights": [1, 1, 1, 1, float("nan")]}}),
 ], ids=["sweep.deltas", "data.classes", "data.per_class", "data.difficulty", "data.seed",
         "train.seed", "train.batch_size", "arch.stem_channels", "train.seed-bool", "data.classes-bool",
-        "rule.threshold-bool"])
+        "rule.threshold-bool", "frontend.hop_ms-inf", "frontend.window_ms-inf", "rule.threshold-nan",
+        "rule.temperature-nan", "train.exit_weights-nan"])
 def test_wrong_typed_config_value_exit_code_one(cli_model, tmp_path, capsys, command, section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
@@ -460,6 +467,23 @@ def test_wrong_typed_config_value_exit_code_one(cli_model, tmp_path, capsys, com
     [(name, values)] = section.items()
     [key] = values
     assert "config error" in err and f"{name} config: {key}" in err
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("eval", ["--delta", "nan"], "rule config: threshold must be float, got nan"),
+    ("eval", ["--temperature", "inf"], "rule config: temperature must be float, got inf"),
+    ("sweep", ["--deltas", "0.1,nan"], "sweep config: deltas must be tuple[float, ...], got (0.1, nan)"),
+    ("train", ["--lr", "inf"], "train config: lr must be float, got inf"),
+], ids=["eval.delta", "eval.temperature", "sweep.deltas", "train.lr"])
+def test_non_finite_flag_value_exit_code_one(cli_model, tmp_path, capsys, command, flags, message):
+    """argparse's float reads nan and inf; no config value takes them, as no file value does."""
+    args = {"eval": ["--model", str(cli_model)],
+            "sweep": ["--model", str(cli_model), "--out", str(tmp_path / "s.csv")],
+            "train": ["--family", "quicknet", "--widths", "8,16", "--blocks", "3,3",
+                      "--epochs", "0", "--out", str(tmp_path / "m.eebnn")]}
+    assert cli([command, *DATASET_ARGS, *args[command], *flags]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("values,message", [

@@ -256,7 +256,6 @@ def test_exit_head_backward_matches_finite_difference(monkeypatch):
         return float((head.forward(act, TRAIN) * r).sum())
 
     loss()
-    head.zero_grads()
     dact = head.backward(r)
     eps = 1e-6
     # input gradient
@@ -283,19 +282,29 @@ def test_exit_head_backward_matches_finite_difference(monkeypatch):
         np.testing.assert_allclose(g[0], (lp - lm) / (up + dn), rtol=1e-3)
 
 
-def test_real_conv_backward_accumulates_weight_grads():
+@pytest.mark.parametrize("make,shape", [
+    (lambda rng: layers.RealConv2d(2, 3, 3, 2, "same", rng), (2, 6, 6, 2)),
+    (lambda rng: layers.BinConv2d(2, 3, 3, 1, "same", rng), (2, 5, 5, 2)),
+    (lambda rng: layers.BatchNorm(3), (2, 4, 4, 3)),
+    (lambda rng: layers.ExitHead(4, 3, rng), (2, 3, 3, 4)),
+], ids=["real_conv", "bin_conv", "batchnorm", "exit_head"])
+def test_backward_sets_grads_rather_than_adding(make, shape):
+    """A second backward on the same input leaves the first's gradients, not twice them,
+    in the same arrays, which an optimizer may hold."""
     rng = np.random.default_rng(19)
-    conv = layers.RealConv2d(2, 3, 3, 2, "same", rng)
-    x = rng.standard_normal((2, 6, 6, 2))
-    y = conv.forward(x, TRAIN)
-    dy = rng.standard_normal(y.shape)
-    conv.backward(dy)
-    g1 = conv.grads["w"].copy()
-    conv.forward(x, TRAIN)
-    conv.backward(dy)
-    np.testing.assert_allclose(conv.grads["w"], 2 * g1, rtol=1e-12)
-    conv.zero_grads()
-    assert all(np.all(g == 0.0) for g in conv.grads.values())
+    lay = make(rng)
+    x = rng.uniform(-1.5, 1.5, shape)
+    dy = rng.standard_normal(lay.forward(x, TRAIN).shape)
+    lay.backward(dy)
+    held = dict(lay.grads)
+    first = {name: g.copy() for name, g in held.items()}
+    lay.forward(x, TRAIN)
+    lay.backward(dy)
+    assert lay.grads.keys() == lay.params().keys() == first.keys()
+    for name, g in lay.grads.items():
+        assert g is held[name], name
+        assert np.any(g != 0.0), name
+        assert np.array_equal(g, first[name]), name
 
 
 def test_mode_is_frozen():
@@ -395,8 +404,6 @@ def test_batchnorm_train_step_matches_reference(batch):
         # a channel slice of a wider map, as the dense blocks pass it
         dy_wide = rng.standard_normal((batch, *hw, c + 3))
         for dy in (dy_wide[..., :c].copy(), dy_wide[..., 3:]):
-            for bn in bns:
-                bn.zero_grads()
             y = bns[0].forward(x, TRAIN)
             y_ref = oracles.batchnorm_forward_reference(bns[1], x, TRAIN)
             assert np.array_equal(y, y_ref), (hw, c)

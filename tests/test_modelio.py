@@ -1,5 +1,6 @@
 """Container format tests: round-trip fidelity, corruption handling, size."""
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ def _swap_first_f32_and_bits(blobs):
     real["name"], bits["name"] = bits["name"], real["name"]
 
 
+def _retiled(blobs, body):
+    """The blob section for an edited directory: each entry's bytes end to end, its offset updated.
+
+    So a file breaks only the directory rule its edit names, and not the
+    tiling that `test_blobs_must_tile_the_blob_section` checks.
+    """
+    chunks, offset = [], 0
+    for entry in blobs:
+        chunks.append(body[entry["offset"]:entry["offset"] + entry["size"]])
+        entry["offset"] = offset
+        offset += entry["size"]
+    return b"".join(chunks)
+
+
 @pytest.mark.parametrize("edit,tail,message", [
     (lambda blobs: blobs.append({**blobs[0], "name": "ghost.w"}), b"", r"unknown blob\(s\) ghost\.w"),
     (lambda blobs: blobs.append(dict(blobs[-1])), b"", "is listed twice"),
@@ -153,10 +168,39 @@ def test_blob_directory_must_be_the_models(saved, tmp_path, edit, tail, message)
     assert header["blobs"][0]["name"] == "stem.w"
     if edit is not None:
         edit(header["blobs"])
+    body = _retiled(header["blobs"], raw[10 + n:])
     head = json.dumps(header).encode("utf-8")
     victim = tmp_path / "victim.eebnn"
-    victim.write_bytes(raw[:6] + len(head).to_bytes(4, "little") + head + raw[10 + n:] + tail)
+    victim.write_bytes(raw[:6] + len(head).to_bytes(4, "little") + head + body + tail)
     with pytest.raises(ModelFormatError, match=message) as info:
+        load_model(victim)
+    assert str(victim) in str(info.value)
+
+
+@pytest.mark.parametrize("shift", [8, -4], ids=["gap", "overlap"])
+def test_blobs_must_tile_the_blob_section(saved, tmp_path, shift):
+    """A blob that starts after the previous one ends, or before, is a format error naming it.
+
+    The gap inserts `shift` zero bytes before the last blob; the overlap
+    moves the one before it back into the blob it follows. Either way each
+    checksum still holds.
+    """
+    path, _ = saved
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + n])
+    body = raw[10 + n:]
+    entry = header["blobs"][-1] if shift > 0 else header["blobs"][-2]
+    name, at = entry["name"], entry["offset"]
+    if shift > 0:
+        body = body[:at] + bytes(shift) + body[at:]
+    entry["offset"] = at + shift
+    entry["crc32"] = zlib.crc32(body[at + shift:at + shift + entry["size"]])
+    head = json.dumps(header).encode("utf-8")
+    victim = tmp_path / "victim.eebnn"
+    victim.write_bytes(raw[:6] + len(head).to_bytes(4, "little") + head + body)
+    with pytest.raises(ModelFormatError, match=rf"blob {name} starts at offset {at + shift}, "
+                                               rf"the blobs before it end at {at}$") as info:
         load_model(victim)
     assert str(victim) in str(info.value)
 

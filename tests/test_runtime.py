@@ -47,6 +47,11 @@ def test_decision_rule_validation_and_boundaries():
         DecisionRule(kind="softmax-confidence", threshold=0.0)
     with pytest.raises(ValueError, match="temperature"):
         DecisionRule(temperature=0.0)
+    # NaN fails every comparison, so these would send every clip to the last exit
+    with pytest.raises(ValueError, match=">= 0"):
+        DecisionRule(kind="entropy", threshold=math.nan)
+    with pytest.raises(ValueError, match="temperature"):
+        DecisionRule(temperature=math.nan)
 
     # entropy comparison is strict: a uniform distribution never satisfies ln C
     r = DecisionRule(kind="entropy", threshold=math.log(4))

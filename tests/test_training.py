@@ -51,6 +51,7 @@ def test_joint_loss_weighted_sum():
     dict(exit_weights=(1.0, 1.0)),
     dict(exit_weights=(0.0,) * 5),
     dict(exit_weights=(1.0, 1.0, 1.0, 1.0, -1.0)),
+    dict(exit_weights=(1.0, 1.0, 1.0, 1.0, float("nan"))),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ValueError):
